@@ -74,14 +74,13 @@ class LabeledPoint:
 
 def _read_blob(store: ResultStore, key: str) -> Optional[dict]:
     """One blob straight off disk — no index touch, no read-through."""
-    for path in (store.path_for(key), store.flat_path_for(key)):
-        try:
-            with open(path) as fh:
-                blob = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if isinstance(blob, dict) and blob.get("key") == key:
-            return blob
+    try:
+        with open(store.path_for(key)) as fh:
+            blob = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if isinstance(blob, dict) and blob.get("key") == key:
+        return blob
     return None
 
 

@@ -35,7 +35,7 @@ clients, with in-flight dedupe by content key.  ``sweep``/``compare``/
 ``fuzz`` become thin clients with ``--daemon SOCKET`` and fall back to
 the embedded engine transparently when no daemon is listening.
 ``cache`` inspects and garbage-collects a result store (LRU, via the
-store index) whether flat or sharded on disk.
+store index).
 
 ``--trace DIR`` (on ``run``/``compare``/``sweep``) writes one episode
 trace per simulation into ``DIR`` (:mod:`repro.obs`); ``report DIR``
@@ -494,27 +494,20 @@ def cmd_cache(args) -> int:
             ("entries", stats["entries"]),
             ("bytes", f"{stats['bytes']} ({_human_bytes(stats['bytes'])})"),
             ("shards used", f"{stats['shards_used']}/{stats['shards_max']}"),
-            ("flat (unmigrated) entries", stats["flat_entries"]),
             ("indexed entries", stats["indexed"]),
             ("read-through roots",
              ", ".join(stats["read_roots"]) or "-"),
         ]
         print(render_table("result cache", ["metric", "value"], rows))
         return 0
-    if args.action == "gc":
-        if args.max_bytes is None:
-            print("error: cache gc needs --max-bytes N", file=sys.stderr)
-            return 1
-        summary = store.gc(args.max_bytes)
-        print(f"evicted {summary['evicted']} entries "
-              f"({_human_bytes(summary['freed_bytes'])}); "
-              f"kept {summary['kept']} "
-              f"({_human_bytes(summary['bytes'])})")
-        return 0
-    # migrate: pull legacy flat blobs into their hash-prefix shards.
-    moved = store.migrate_flat()
-    print(f"migrated {moved} flat entries into shards under "
-          f"{store.root}")
+    if args.max_bytes is None:
+        print("error: cache gc needs --max-bytes N", file=sys.stderr)
+        return 1
+    summary = store.gc(args.max_bytes)
+    print(f"evicted {summary['evicted']} entries "
+          f"({_human_bytes(summary['freed_bytes'])}); "
+          f"kept {summary['kept']} "
+          f"({_human_bytes(summary['bytes'])})")
     return 0
 
 
@@ -1075,15 +1068,13 @@ def make_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser(
         "cache",
         help="inspect or garbage-collect a result store "
-             "(stats / gc --max-bytes N / migrate)",
+             "(stats / gc --max-bytes N)",
         description="Operate on a content-addressed result cache "
-                    "directly on disk, whether laid out flat (legacy) "
-                    "or sharded into hash-prefix directories. 'stats' "
-                    "reports entries, bytes and shard fill; 'gc' evicts "
-                    "least-recently-used entries (per the store index) "
-                    "down to a byte budget; 'migrate' moves legacy flat "
-                    "blobs into their shards.")
-    cache.add_argument("action", choices=("stats", "gc", "migrate"))
+                    "directly on disk. 'stats' reports entries, bytes "
+                    "and shard fill; 'gc' evicts least-recently-used "
+                    "entries (per the store index) down to a byte "
+                    "budget.")
+    cache.add_argument("action", choices=("stats", "gc"))
     cache.add_argument("--max-bytes", type=int, default=None,
                        metavar="N",
                        help="gc: evict LRU entries until the store "

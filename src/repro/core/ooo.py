@@ -78,13 +78,11 @@ class OoOCore:
         # untouched when no observer is attached.
         self._obs = None
 
-        # Hot-path bindings: :meth:`process` runs once per simulated
-        # instruction, so the resource objects' internals are bound here
-        # once instead of being re-resolved through two attribute hops per
-        # instruction.  The deques and dicts below are the *same* objects
-        # the public ``rob``/``lq``/``sq``/``ports`` expose — state stays
-        # authoritative for ``restart_at``/``occupancy_at``/snapshotting.
-        self._port_bind = self.ports.bind
+        # Hot-path bindings for :meth:`process_batch`: the resource
+        # objects' internals, bound once instead of re-resolved through
+        # two attribute hops per batch.  The deques and dicts below are
+        # the *same* objects the public ``rob``/``lq``/``sq`` expose —
+        # state stays authoritative for ``restart_at``/``occupancy_at``.
         self._rob_rel = self.rob._releases
         self._lq_rel = self.lq._releases
         self._sq_rel = self.sq._releases
@@ -100,155 +98,6 @@ class OoOCore:
         #: Wrong-path instructions run through compiled stream blocks
         #: (repro.wrongpath.streamblock); same guard, wrong-path side.
         self.streamblock_instructions = 0
-
-    # -- main per-instruction path -------------------------------------------------
-
-    def process(self, di: DynInstr) -> None:
-        """Simulate one correct-path instruction.
-
-        This is the simulator's hottest function (one call per simulated
-        instruction), so the slot-allocator and window-buffer steps are
-        inlined: the code below manipulates ``fetch``/``dispatch``/
-        ``commit``/``rob``/``lq``/``sq`` state directly, cycle-for-cycle
-        equivalent to the ``allocate``/``commit`` methods in
-        :mod:`repro.core.resources` (which remain the readable reference
-        semantics and are still used by the wrong-path executor).
-        """
-        cfg = self.cfg
-        stats = self.stats
-        instr = di.instr
-        pc = di.pc
-        if instr.pc not in self._cc_entries:   # inlined CodeCache.insert
-            self.code_cache.insert(instr)
-
-        # ---- fetch: I-cache + fetch bandwidth
-        fetch = self.fetch
-        line = pc >> self._line_shift
-        if line != self._cur_fetch_line:
-            self._cur_fetch_line = line
-            latency = self.hierarchy.access_instr(pc)
-            penalty = latency - cfg.l1i_latency
-            if penalty > 0:
-                fetch.cycle += penalty   # restart_at(cycle + penalty)
-                fetch.used = 0
-        # fetch.allocate(0): the cycle is monotonic, so 0 never restarts it.
-        fetch_c = fetch.cycle
-        used = fetch.used + 1
-        if used >= fetch.width:
-            fetch.cycle = fetch_c + 1
-            fetch.used = 0
-        else:
-            fetch.used = used
-
-        # ---- dispatch: frontend depth, ROB/LQ/SQ, dispatch bandwidth
-        dispatch_req = fetch_c + cfg.frontend_depth
-        rob_rel = self._rob_rel
-        if len(rob_rel) >= cfg.rob_size:       # rob.allocate(dispatch_req)
-            oldest = rob_rel.popleft()
-            if oldest > dispatch_req:
-                dispatch_req = oldest
-        is_load = instr.is_load
-        is_store = instr.is_store
-        if is_load:
-            lq_rel = self._lq_rel
-            if len(lq_rel) >= cfg.load_queue:  # lq.allocate(dispatch_req)
-                oldest = lq_rel.popleft()
-                if oldest > dispatch_req:
-                    dispatch_req = oldest
-        elif is_store:
-            sq_rel = self._sq_rel
-            if len(sq_rel) >= cfg.store_queue:  # sq.allocate(dispatch_req)
-                oldest = sq_rel.popleft()
-                if oldest > dispatch_req:
-                    dispatch_req = oldest
-        dispatch = self.dispatch               # dispatch.allocate(...)
-        if dispatch_req > dispatch.cycle:
-            dispatch.cycle = dispatch_req
-            dispatch.used = 0
-        dispatch_c = dispatch.cycle
-        used = dispatch.used + 1
-        if used >= dispatch.width:
-            dispatch.cycle = dispatch_c + 1
-            dispatch.used = 0
-        else:
-            dispatch.used = used
-
-        # ---- ready + issue
-        ready = dispatch_c + 1
-        regready = self.regready
-        for reg in instr.reads:
-            t = regready[reg]
-            if t > ready:
-                ready = t
-        issue, fu_latency = self._port_bind[instr.fu]
-        issue_c = issue(ready)
-
-        # ---- execute / complete
-        if is_load:
-            stats.loads += 1
-            addr = di.mem_addr
-            word = addr & ~3
-            drain = self._store_buffer.get(word)
-            if drain is not None and drain > issue_c:
-                stats.store_forwards += 1
-                latency = cfg.forward_latency
-            else:
-                latency = self.hierarchy.access_data(addr, False, pc=pc)
-            complete = issue_c + latency
-        elif is_store:
-            stats.stores += 1
-            complete = issue_c + cfg.store_latency
-        elif instr.is_syscall:
-            stats.syscalls += 1
-            complete = issue_c + cfg.syscall_latency
-        else:
-            complete = issue_c + fu_latency
-
-        for reg in instr.writes:
-            regready[reg] = complete
-
-        # ---- retire (in order, commit bandwidth)
-        retire_req = complete + 1
-        if retire_req < self.last_retire:
-            retire_req = self.last_retire
-        commit = self.commit                   # commit.allocate(retire_req)
-        if retire_req > commit.cycle:
-            commit.cycle = retire_req
-            commit.used = 0
-        retire_c = commit.cycle
-        used = commit.used + 1
-        if used >= commit.width:
-            commit.cycle = retire_c + 1
-            commit.used = 0
-        else:
-            commit.used = used
-        self.last_retire = retire_c
-        rob_rel.append(retire_c)               # rob.commit(retire_c)
-        if is_load:
-            self._lq_rel.append(complete)      # lq.commit(complete)
-        elif is_store:
-            self._sq_rel.append(retire_c)      # sq.commit(retire_c)
-            # Drain to the memory hierarchy post-retirement.
-            addr = di.mem_addr
-            self.hierarchy.access_data(addr, True, pc=pc)
-            self._store_buffer[addr & ~3] = retire_c + 1
-
-        stats.instructions += 1
-
-        # ---- control flow: prediction, redirects, wrong-path window
-        if instr.is_control:
-            next_pc = di.next_pc
-            prediction = self.bpu.predict_and_update(instr, di.taken,
-                                                     next_pc)
-            if prediction != next_pc:
-                self._handle_mispredict(di, prediction, fetch_c, complete)
-            elif next_pc != instr.pc + INSTRUCTION_SIZE:  # fall-through?
-                stats.taken_redirects += 1
-                at = fetch_c + cfg.taken_redirect_bubble  # fetch.restart_at
-                if at > fetch.cycle or (at == fetch.cycle and fetch.used):
-                    fetch.cycle = at
-                    fetch.used = 0
-                self._cur_fetch_line = -1
 
     def _compile_timing(self, pc: int):
         """Resolve the timing superhandler for the block at ``pc``.
@@ -283,16 +132,18 @@ class OoOCore:
         """Consume and simulate ``count`` instructions directly from the
         runahead queue's buffer; returns the number processed.
 
-        This is the batched form of :meth:`process` used by
-        ``Simulator.run``: all mutable core state (slot allocators, stat
+        This is the core's only entry point (every mode drives it through
+        :class:`~repro.simulator.machine.Machine`; multicore passes
+        ``count=1``).  All mutable core state (slot allocators, stat
         counters, the fetch line) lives in locals for the duration of the
         batch and is flushed back to the live objects at batch end — and,
         crucially, *before* every mispredict, so the wrong-path models and
-        the queue's ``window()`` peeks observe exactly the state the
-        per-instruction path would show them.  Cycle-for-cycle and
-        stat-for-stat identical to ``count`` ``process(queue.pop())``
-        calls; :meth:`process` remains the readable reference semantics
-        (and the entry point for single-instruction callers).
+        the queue's ``window()`` peeks observe the core as of the
+        mispredicting branch.  Batch boundaries never change results:
+        each instruction takes the compiled timing block at its pc when
+        the whole block fits the batch, otherwise the scalar path below,
+        and the two are bit-identical (``tests/test_superblock.py``
+        forces the scalar path through ``COMPILE_THRESHOLD``).
         """
         buf = queue._buf
         i = queue._head
@@ -356,9 +207,12 @@ class OoOCore:
             # the whole block fits the batch (entry[1] = length).  The
             # control-flow handling below mirrors the scalar tail: the
             # block ends *at* its control instruction, whose fetch and
-            # completion cycles the compiled run returns.
+            # completion cycles the compiled run returns.  A batch's last
+            # instruction never warms or compiles a block: one-instruction
+            # batches (multicore) would otherwise compile a block at every
+            # pc that none of them can run.
             entry = tb_get(pc)
-            if entry is None:
+            if entry is None and i + 1 < end:
                 entry = tb_compile(pc)
             if entry and entry[1] <= end - i:
                 (fetch_cycle, fetch_used, disp_cycle, disp_used,

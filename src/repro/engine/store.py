@@ -15,7 +15,7 @@ reproduce the stored result exactly.  Writes are atomic
 (temp-file + ``os.replace``) so a crashed or parallel run never leaves a
 truncated blob; unreadable blobs are treated as misses and overwritten.
 
-Three mechanisms keep a long-lived, multi-client cache healthy:
+Two mechanisms keep a long-lived, multi-client cache healthy:
 
 * **Index + eviction.**  Every put/hit appends one record to
   ``index.jsonl`` (single-``write()`` ``O_APPEND``, safe under
@@ -32,11 +32,8 @@ Three mechanisms keep a long-lived, multi-client cache healthy:
   are copied into the primary root ("localized") so repeated reads stay
   local; the extra roots are never written otherwise.
 
-* **Flat-layout migration.**  Early caches stored blobs flat at the
-  root (``<key>.json`` beside the journal).  Flat blobs still read as
-  hits and are migrated into their shard on first touch;
-  :meth:`ResultStore.migrate_flat` (``repro cache migrate``) moves the
-  rest in one pass.
+Blobs outside a shard directory (the pre-sharding layout kept them flat
+at the root) are not entries: they read as misses and are recomputed.
 """
 
 from __future__ import annotations
@@ -163,10 +160,6 @@ class ResultStore:
     def path_for(self, key: str) -> str:
         return os.path.join(self.root, key[:SHARD_PREFIX], f"{key}.json")
 
-    def flat_path_for(self, key: str) -> str:
-        """Legacy pre-sharding location: the blob right at the root."""
-        return os.path.join(self.root, f"{key}.json")
-
     @property
     def journal_path(self) -> str:
         return os.path.join(self.root, "journal.jsonl")
@@ -177,15 +170,9 @@ class ResultStore:
         return self._locate(job.key) is not None
 
     def _locate(self, key: str) -> Optional[str]:
-        """Path of ``key``'s blob in the primary root (sharded or
-        legacy-flat), or None."""
+        """Path of ``key``'s blob in the primary root, or None."""
         path = self.path_for(key)
-        if os.path.exists(path):
-            return path
-        flat = self.flat_path_for(key)
-        if os.path.exists(flat):
-            return flat
-        return None
+        return path if os.path.exists(path) else None
 
     @staticmethod
     def _read_blob(path: str, key: str) -> Optional[dict]:
@@ -203,7 +190,6 @@ class ResultStore:
 
         Misses in the primary root read through ``read_roots``; a
         read-through hit is copied ("localized") into the primary root.
-        A legacy flat blob is migrated into its shard on the way out.
         Every hit appends a recency touch to the index.
         """
         key = job.key
@@ -211,20 +197,16 @@ class ResultStore:
         if path is not None:
             blob = self._read_blob(path, key)
             if blob is not None:
-                if path == self.flat_path_for(key):
-                    self._migrate_one(key)
                 self.index.touch(key)
                 return blob
         for root in self.read_roots:
-            for candidate in (
-                    os.path.join(root, key[:SHARD_PREFIX], f"{key}.json"),
-                    os.path.join(root, f"{key}.json")):
-                if not os.path.exists(candidate):
-                    continue
-                blob = self._read_blob(candidate, key)
-                if blob is not None:
-                    self._write_blob(key, blob)   # localize + index
-                    return blob
+            candidate = os.path.join(root, key[:SHARD_PREFIX], f"{key}.json")
+            if not os.path.exists(candidate):
+                continue
+            blob = self._read_blob(candidate, key)
+            if blob is not None:
+                self._write_blob(key, blob)   # localize + index
+                return blob
         return None
 
     def get(self, job: SimJob) -> Optional[SimulationResult]:
@@ -283,17 +265,12 @@ class ResultStore:
 
     def invalidate(self, job: SimJob) -> bool:
         """Drop one entry; True if it existed."""
-        dropped = False
-        for path in (self.path_for(job.key),
-                     self.flat_path_for(job.key)):
-            try:
-                os.unlink(path)
-                dropped = True
-            except OSError:
-                pass
-        if dropped:
-            self.index.drop(job.key)
-        return dropped
+        try:
+            os.unlink(self.path_for(job.key))
+        except OSError:
+            return False
+        self.index.drop(job.key)
+        return True
 
     def keys(self) -> Iterator[str]:
         if not os.path.isdir(self.root):
@@ -304,11 +281,9 @@ class ResultStore:
                 for entry in sorted(os.listdir(path)):
                     if entry.endswith(".json") and _is_key(entry[:-5]):
                         yield entry[:-5]
-            elif name.endswith(".json") and _is_key(name[:-5]):
-                yield name[:-5]     # legacy flat blob
 
     def _scan(self) -> Dict[str, int]:
-        """``key -> bytes`` for every blob on disk (flat or sharded)."""
+        """``key -> bytes`` for every blob on disk."""
         sizes: Dict[str, int] = {}
         for key in self.keys():
             path = self._locate(key)
@@ -324,14 +299,11 @@ class ResultStore:
         """Entry/byte/shard-fill counters for ``repro cache stats``."""
         sizes = self._scan()
         shards = 0
-        flat = 0
         if os.path.isdir(self.root):
             for name in sorted(os.listdir(self.root)):
                 if len(name) == SHARD_PREFIX and \
                         os.path.isdir(os.path.join(self.root, name)):
                     shards += 1
-                elif name.endswith(".json") and _is_key(name[:-5]):
-                    flat += 1
         indexed = self.index.load()
         return {
             "root": self.root,
@@ -339,7 +311,6 @@ class ResultStore:
             "bytes": sum(sizes.values()),
             "shards_used": shards,
             "shards_max": 16 ** SHARD_PREFIX,
-            "flat_entries": flat,
             "indexed": sum(1 for k in indexed if k in sizes),
             "read_roots": list(self.read_roots),
         }
@@ -368,11 +339,10 @@ class ResultStore:
         for key, nbytes in order:
             if total - freed <= max_bytes:
                 break
-            for path in (self.path_for(key), self.flat_path_for(key)):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            try:
+                os.unlink(self.path_for(key))
+            except OSError:
+                pass
             surviving.pop(key, None)
             evicted += 1
             freed += nbytes
@@ -388,39 +358,15 @@ class ResultStore:
         self.index.rewrite({key: sizes[key] for key in sorted(sizes)})
         return len(sizes)
 
-    def migrate_flat(self) -> int:
-        """Move every legacy flat blob into its shard; returns the
-        number migrated."""
-        moved = 0
-        if not os.path.isdir(self.root):
-            return moved
-        for name in sorted(os.listdir(self.root)):
-            if name.endswith(".json") and _is_key(name[:-5]):
-                if self._migrate_one(name[:-5]):
-                    moved += 1
-        return moved
-
-    def _migrate_one(self, key: str) -> bool:
-        flat = self.flat_path_for(key)
-        path = self.path_for(key)
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            os.replace(flat, path)
-        except OSError:
-            return False
-        self.index.put(key, os.path.getsize(path))
-        return True
-
     def clear(self) -> int:
         """Drop every entry (the journal is kept); returns count."""
         dropped = 0
         for key in list(self.keys()):
-            for path in (self.path_for(key), self.flat_path_for(key)):
-                try:
-                    os.unlink(path)
-                    dropped += 1
-                except OSError:
-                    pass
+            try:
+                os.unlink(self.path_for(key))
+                dropped += 1
+            except OSError:
+                pass
         self.index.rewrite({})
         return dropped
 

@@ -22,6 +22,7 @@ recorded workload can be replayed without rebuilding it.
 from __future__ import annotations
 
 import struct
+import time
 from typing import List, Optional
 
 from repro.frontend.dyninstr import DynInstr
@@ -137,6 +138,16 @@ class TraceFrontend:
         self._seq += 1
         return di
 
+    def produce_batch(self, n: int) -> List[DynInstr]:
+        """Up to ``n`` instructions; a short list means the trace ended."""
+        out: List[DynInstr] = []
+        while len(out) < n:
+            di = self.produce()
+            if di is None:
+                break
+            out.append(di)
+        return out
+
     def rewind(self) -> None:
         """Restart replay from the beginning."""
         self._cursor = 0
@@ -159,12 +170,9 @@ def simulate_trace(trace: InstructionTrace, technique: str = "nowp",
     ``wpemul`` is rejected — the paper's point: a trace frontend has no
     functional machine to redirect down the wrong path.
     """
-    from repro.branch.predictors import BranchPredictorUnit
-    from repro.cache.hierarchy import CacheHierarchy
     from repro.core.config import CoreConfig
-    from repro.core.ooo import OoOCore
-    from repro.frontend.queue import RunaheadQueue
-    from repro.simulator.simulation import (SimulationResult, TECHNIQUES)
+    from repro.simulator.machine import TECHNIQUES, Machine
+    from repro.simulator.simulation import SimulationResult
 
     if technique == "wpemul":
         raise TraceError(
@@ -174,26 +182,11 @@ def simulate_trace(trace: InstructionTrace, technique: str = "nowp",
         raise ValueError(f"unknown technique {technique!r}")
     cfg = config if config is not None else CoreConfig()
 
-    import time
     start = time.perf_counter()
     frontend = TraceFrontend(trace)
-    queue = RunaheadQueue(frontend.produce,
-                          depth=max(2 * cfg.rob_size + 128, 1024))
-    bpu = BranchPredictorUnit(
-        kind=cfg.predictor_kind, table_bits=cfg.predictor_table_bits,
-        history_bits=cfg.predictor_history_bits, ras_depth=cfg.ras_depth,
-        indirect_bits=cfg.indirect_bits)
-    hierarchy = CacheHierarchy.from_config(cfg)
-    core = OoOCore(cfg, hierarchy, bpu, TECHNIQUES[technique](),
-                   queue=queue)
-    processed = 0
-    while max_instructions is None or processed < max_instructions:
-        di = queue.pop()
-        if di is None:
-            break
-        core.process(di)
-        processed += 1
-    stats = core.finalize()
+    machine = Machine(cfg, technique, frontend=frontend)
+    machine.run(max_instructions)
+    stats = machine.core.finalize()
     wall = time.perf_counter() - start
-    return SimulationResult(name, technique, cfg, stats, hierarchy, bpu,
-                            [], None, wall, frontend)
+    return SimulationResult(name, technique, cfg, stats, machine.hierarchy,
+                            machine.bpu, [], None, wall, frontend)

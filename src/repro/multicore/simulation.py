@@ -13,9 +13,10 @@ rates, in both directions.
 
 Modeling notes:
 
-* Cores are advanced in retirement order (the core with the earliest
-  last-retire cycle processes its next instruction), which interleaves
-  shared-LLC accesses in approximate global-time order.
+* Each core is one :class:`~repro.simulator.machine.Machine` over the
+  shared LLC.  Cores are advanced in retirement order (the core with the
+  earliest last-retire cycle processes its next instruction), which
+  interleaves shared-LLC accesses in approximate global-time order.
 * Workloads are independent processes on disjoint address spaces offset
   per core (no sharing), so no coherence protocol is required; coherence-
   traffic effects from Sendag et al. are out of scope and documented as
@@ -29,16 +30,10 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence
 
-from repro.branch.predictors import BranchPredictorUnit
 from repro.cache.cache import Cache, MainMemory
-from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import CoreConfig
-from repro.core.ooo import OoOCore
-from repro.frontend.queue import RunaheadQueue
-from repro.functional.frontend import FunctionalFrontend
-from repro.functional.memory import Memory
 from repro.isa.program import Program
-from repro.simulator.simulation import TECHNIQUES, WrongPathEmulation
+from repro.simulator.machine import TECHNIQUES, Machine
 
 
 class CoreContext:
@@ -48,33 +43,12 @@ class CoreContext:
                  technique: str, shared_llc: Cache,
                  shared_memory: MainMemory):
         self.index = index
-        emulate_wp = technique == WrongPathEmulation.name
-        predictor_args = dict(
-            kind=cfg.predictor_kind, table_bits=cfg.predictor_table_bits,
-            history_bits=cfg.predictor_history_bits,
-            ras_depth=cfg.ras_depth, indirect_bits=cfg.indirect_bits)
-        self.frontend = FunctionalFrontend(
-            program, Memory(), emulate_wrong_path=emulate_wp,
-            predictor=BranchPredictorUnit(**predictor_args)
-            if emulate_wp else None,
-            wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
-        self.queue = RunaheadQueue(self.frontend.produce,
-                                   depth=max(2 * cfg.rob_size + 128, 1024))
-        self.hierarchy = CacheHierarchy(
-            line_size=cfg.line_size,
-            l1i_size=cfg.l1i_size, l1i_assoc=cfg.l1i_assoc,
-            l1i_latency=cfg.l1i_latency,
-            l1d_size=cfg.l1d_size, l1d_assoc=cfg.l1d_assoc,
-            l1d_latency=cfg.l1d_latency,
-            l2_size=cfg.l2_size, l2_assoc=cfg.l2_assoc,
-            l2_latency=cfg.l2_latency,
-            dtlb_entries=cfg.dtlb_entries, dtlb_penalty=cfg.dtlb_penalty,
-            l2_prefetcher=cfg.l2_prefetcher,
-            prefetch_degree=cfg.prefetch_degree,
-            shared_llc=shared_llc, shared_memory=shared_memory)
-        self.core = OoOCore(cfg, self.hierarchy,
-                            BranchPredictorUnit(**predictor_args),
-                            TECHNIQUES[technique](), queue=self.queue)
+        machine = Machine(cfg, technique, program, shared_llc=shared_llc,
+                          shared_memory=shared_memory)
+        self.frontend = machine.frontend
+        self.queue = machine.queue
+        self.hierarchy = machine.hierarchy
+        self.core = machine.core
         self.processed = 0
         self.done = False
 
@@ -83,12 +57,17 @@ class CoreContext:
         return self.core.last_retire
 
     def step(self) -> bool:
-        """Process one instruction; returns False when the stream ends."""
-        di = self.queue.pop()
-        if di is None:
+        """Process one instruction; returns False when the stream ends.
+
+        The queue refills only once drained, and ``process_batch`` takes
+        a single instruction, so cores interleave one retirement at a
+        time.
+        """
+        queue = self.queue
+        if not len(queue) and not queue.prepare():
             self.done = True
             return False
-        self.core.process(di)
+        self.core.process_batch(queue, 1)
         self.processed += 1
         return True
 
@@ -102,6 +81,7 @@ class MulticoreResult:
         self.technique = technique
         self.core_stats = [ctx.core.finalize() for ctx in cores]
         self.outputs = [ctx.frontend.output for ctx in cores]
+        self.cache_stats = [ctx.hierarchy.stats() for ctx in cores]
         self.llc_stats = shared_llc.stats
         self.memory_accesses = shared_memory.stats.accesses
         self.wall_seconds = wall_seconds

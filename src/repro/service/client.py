@@ -140,9 +140,6 @@ class ServiceClient:
         return self._one({"op": "cache", "action": "gc",
                           "max_bytes": max_bytes})["stats"]
 
-    def cache_migrate(self) -> Dict[str, Any]:
-        return self._one({"op": "cache", "action": "migrate"})["stats"]
-
     def shutdown(self) -> None:
         """Ask the daemon to exit; the connection dies with it."""
         try:

@@ -106,10 +106,9 @@ def validate_request(message: Dict[str, Any]) -> Dict[str, Any]:
             raise ProtocolError("'store' must be a boolean")
     elif op == "cache":
         action = message.get("action")
-        if action not in ("stats", "gc", "migrate"):
+        if action not in ("stats", "gc"):
             raise ProtocolError(
-                f"unknown cache action {action!r}; expected "
-                f"stats, gc or migrate")
+                f"unknown cache action {action!r}; expected stats or gc")
         if action == "gc" and \
                 not isinstance(message.get("max_bytes"), int):
             raise ProtocolError("cache gc needs an integer 'max_bytes'")

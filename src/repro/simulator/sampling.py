@@ -15,13 +15,15 @@ pass alternates between
 * **detailed** intervals, simulated by the full out-of-order model with
   the configured wrong-path technique.
 
-Both phases ride the batch pipeline (``produce_batch`` / ``prepare`` /
-``process_batch``).  Under ``wpemul`` the expensive wrong-path emulation
-is gated off while warming (the traces would be discarded anyway) and
-re-enabled at a queue-refill boundary before each detailed interval, so
-every instruction a detailed interval consumes was produced with
-emulation on — detailed results are bit-identical to an ungated run
-(``gate_warm_wp=False`` disables the gate; a test pins the equality).
+Both phases ride one :class:`~repro.simulator.machine.Machine`: warming
+consumes ``produce_batch`` directly and detailed intervals run through
+:meth:`~repro.simulator.machine.Machine.run`.  Under ``wpemul`` the
+expensive wrong-path emulation is gated off while warming (the traces
+would be discarded anyway) and re-enabled at a queue-refill boundary
+before each detailed interval, so every instruction a detailed interval
+consumes was produced with emulation on.  Streaming mode is the test
+oracle for checkpointed mode: an unbroken stream is what a restored
+interval must reproduce bit for bit.
 
 **Checkpointed** (:func:`sample_workload`): a fast functional pass — no
 timing model at all — warms private cache/TLB/predictor/code-cache
@@ -62,11 +64,10 @@ from repro.core.config import CoreConfig
 from repro.core.ooo import OoOCore
 from repro.core.stats import CoreStats
 from repro.frontend.code_cache import CodeCache
-from repro.frontend.queue import RunaheadQueue
 from repro.functional.frontend import FunctionalFrontend
 from repro.functional.memory import Memory
 from repro.isa.program import Program
-from repro.simulator.simulation import TECHNIQUES, WrongPathEmulation
+from repro.simulator.machine import TECHNIQUES, Machine
 from repro.simulator.snapshot import SimSnapshot
 
 #: Instructions produced per direct ``produce_batch`` call while warming
@@ -188,19 +189,6 @@ def _warm(core: OoOCore, di) -> None:
         core.bpu.predict_and_update(instr, di.taken, di.next_pc)
 
 
-def _make_bpu(cfg: CoreConfig) -> BranchPredictorUnit:
-    return BranchPredictorUnit(
-        kind=cfg.predictor_kind, table_bits=cfg.predictor_table_bits,
-        history_bits=cfg.predictor_history_bits, ras_depth=cfg.ras_depth,
-        indirect_bits=cfg.indirect_bits)
-
-
-def _queue_depth(cfg: CoreConfig) -> int:
-    # The conv model peeks ROB-size instructions ahead, so the queue must
-    # run ahead at least that far plus slack (same rule as Simulator).
-    return max(2 * cfg.rob_size + 128, 1024)
-
-
 # -- streaming mode ------------------------------------------------------------
 
 
@@ -209,8 +197,7 @@ def simulate_sampled(program: Program, technique: str = "nowp",
                      detail_length: int = 10_000,
                      fastforward_length: int = 40_000,
                      max_instructions: Optional[int] = None,
-                     name: str = "program",
-                     gate_warm_wp: bool = True) -> SampledResult:
+                     name: str = "program") -> SampledResult:
     """Simulate with alternating fast-forward/detailed intervals.
 
     The stream starts with a fast-forward interval (warmup), then
@@ -219,11 +206,10 @@ def simulate_sampled(program: Program, technique: str = "nowp",
     instruction count never exceeds ``max_instructions``: each interval
     is clamped to the remaining budget.
 
-    ``gate_warm_wp`` suppresses wrong-path emulation while warming under
-    ``wpemul`` (the produced traces would be discarded); the frontend's
-    predictor copy keeps training either way, and emulation is restored
-    before any instruction a detailed interval will consume is produced,
-    so detailed results are unchanged.
+    Under ``wpemul``, wrong-path emulation is off while warming (the
+    produced traces would be discarded); the frontend's predictor copy
+    keeps training either way, and emulation is restored before any
+    instruction a detailed interval will consume is produced.
     """
     if technique not in TECHNIQUES:
         raise ValueError(f"unknown technique {technique!r}")
@@ -233,17 +219,10 @@ def simulate_sampled(program: Program, technique: str = "nowp",
     cfg = config if config is not None else CoreConfig()
     start = time.perf_counter()
 
-    emulate_wp = technique == WrongPathEmulation.name
-    frontend = FunctionalFrontend(
-        program, Memory(), emulate_wrong_path=emulate_wp,
-        predictor=_make_bpu(cfg) if emulate_wp else None,
-        wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
-    queue = RunaheadQueue(frontend.produce, depth=_queue_depth(cfg),
-                          batch_producer=frontend.produce_batch)
-    core = OoOCore(cfg, CacheHierarchy.from_config(cfg), _make_bpu(cfg),
-                   TECHNIQUES[technique](), queue=queue)
+    machine = Machine(cfg, technique, program)
+    frontend, queue, core = machine.frontend, machine.queue, machine.core
 
-    gated = gate_warm_wp and emulate_wp
+    gated = frontend.emulate_wrong_path
     detailed = 0
     warmed = 0
     intervals = 0
@@ -303,15 +282,8 @@ def simulate_sampled(program: Program, technique: str = "nowp",
         # detailed interval does not charge the skipped region.
         core.fetch.restart_at(core.last_retire)
         core._cur_fetch_line = -1
-        ran = 0
-        while ran < budget:
-            available = queue.prepare()
-            if available == 0:
-                exhausted = True
-                break
-            if available > budget - ran:
-                available = budget - ran
-            ran += core.process_batch(queue, available)
+        ran = machine.run(budget)
+        exhausted = ran < budget
         processed += ran
         if ran:
             intervals += 1
@@ -359,7 +331,7 @@ def functional_pass(program: Program, config: Optional[CoreConfig] = None,
     cfg = config if config is not None else CoreConfig()
     frontend = FunctionalFrontend(program, Memory())
     hierarchy = CacheHierarchy.from_config(cfg)
-    bpu = _make_bpu(cfg)
+    bpu = BranchPredictorUnit.from_config(cfg)
     code_cache = CodeCache()
     line_shift = cfg.line_size.bit_length() - 1
     cur_line = -1
@@ -488,32 +460,9 @@ def _run_interval(program: Program, cfg: CoreConfig, technique: str,
     """Restore ``snapshot`` into fresh components and run ``length``
     instructions of detailed simulation."""
     start = time.perf_counter()
-    emulate_wp = technique == WrongPathEmulation.name
-    frontend = FunctionalFrontend(
-        program, Memory(), emulate_wrong_path=emulate_wp,
-        predictor=_make_bpu(cfg) if emulate_wp else None,
-        wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
-    queue = RunaheadQueue(frontend.produce, depth=_queue_depth(cfg),
-                          batch_producer=frontend.produce_batch)
-    hierarchy = CacheHierarchy.from_config(cfg)
-    timing_bpu = _make_bpu(cfg)
-    code_cache = CodeCache()
-    # One restore covers both predictor copies (frontend + timing), so
-    # wpemul intervals start in lockstep by construction.
-    snapshot.restore(frontend, hierarchy=hierarchy, bpu=timing_bpu,
-                     code_cache=code_cache)
-    core = OoOCore(cfg, hierarchy, timing_bpu, TECHNIQUES[technique](),
-                   code_cache=code_cache, queue=queue)
-    processed = 0
-    process_batch = core.process_batch
-    while processed < length:
-        available = queue.prepare()
-        if available == 0:
-            break
-        if available > length - processed:
-            available = length - processed
-        processed += process_batch(queue, available)
-    stats = core.finalize()
+    machine = Machine(cfg, technique, program, snapshot=snapshot)
+    machine.run(length)
+    stats = machine.core.finalize()
     wall = time.perf_counter() - start
     return SampleIntervalResult(workload, technique, snapshot.index,
                                 snapshot.position, length, stats, wall)

@@ -1,8 +1,9 @@
 """User-facing composition: one decoupled functional-first simulation.
 
-:class:`Simulator` wires together the functional frontend, the runahead
-queue, the branch predictor(s), the cache hierarchy, the out-of-order core
-and one of the four wrong-path models, runs the workload, and returns a
+:class:`Simulator` runs a program through one
+:class:`~repro.simulator.machine.Machine` — functional frontend,
+runahead queue, branch predictor(s), cache hierarchy, out-of-order core
+and one of the four wrong-path models — and returns a
 :class:`SimulationResult`.
 
 >>> from repro import Simulator, assemble
@@ -20,30 +21,16 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Optional, Type
+from typing import Optional
 
 from repro.branch.predictors import BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.config import CoreConfig
 from repro.core.ooo import OoOCore
 from repro.core.stats import CoreStats
-from repro.frontend.queue import RunaheadQueue
 from repro.functional.frontend import FunctionalFrontend
-from repro.functional.memory import Memory
 from repro.isa.program import Program
-from repro.wrongpath.base import WrongPathModel
-from repro.wrongpath.convergence import ConvergenceExploitation
-from repro.wrongpath.emulation import WrongPathEmulation
-from repro.wrongpath.instrec import InstructionReconstruction
-from repro.wrongpath.nowp import NoWrongPath
-
-#: The four simulator versions of Section IV.
-TECHNIQUES: Dict[str, Type[WrongPathModel]] = {
-    NoWrongPath.name: NoWrongPath,
-    InstructionReconstruction.name: InstructionReconstruction,
-    ConvergenceExploitation.name: ConvergenceExploitation,
-    WrongPathEmulation.name: WrongPathEmulation,
-}
+from repro.simulator.machine import TECHNIQUES, Machine
 
 #: Evaluation order used throughout the benches (reference last).
 ALL_TECHNIQUES = ("nowp", "instrec", "conv", "wpemul")
@@ -188,11 +175,7 @@ class Simulator:
         self.config = config if config is not None else CoreConfig()
         self.technique = technique
         self.max_instructions = max_instructions
-        # The conv model peeks ROB-size instructions ahead, so the queue
-        # must run ahead at least that far plus slack.
-        if queue_depth is None:
-            queue_depth = max(2 * self.config.rob_size + 128, 1024)
-        self.queue_depth = queue_depth
+        self.queue_depth = queue_depth  # None: the Machine default
         self.name = name
         # Optional repro.obs.Observability (duck-typed so the simulator
         # has no import-time dependency on the obs package): attached to
@@ -208,64 +191,28 @@ class Simulator:
         self.bpu: Optional[BranchPredictorUnit] = None
 
     def run(self) -> SimulationResult:
-        cfg = self.config
         start = time.perf_counter()
-
-        timing_bpu = self._make_bpu()
-        wp_model = TECHNIQUES[self.technique]()
-        emulate_wp = self.technique == WrongPathEmulation.name
-        frontend = FunctionalFrontend(
-            self.program, Memory(),
-            emulate_wrong_path=emulate_wp,
-            predictor=self._make_bpu() if emulate_wp else None,
-            wp_limit=cfg.rob_size + cfg.wp_frontend_buffer)
-        queue = RunaheadQueue(frontend.produce, depth=self.queue_depth,
-                              batch_producer=frontend.produce_batch)
-        hierarchy = CacheHierarchy.from_config(cfg)
-        core = OoOCore(cfg, hierarchy, timing_bpu, wp_model, queue=queue)
-        self.frontend = frontend
-        self.core = core
-        self.hierarchy = hierarchy
-        self.bpu = timing_bpu
+        machine = Machine(self.config, self.technique, self.program,
+                          depth=self.queue_depth)
+        self.frontend = frontend = machine.frontend
+        self.core = core = machine.core
+        self.hierarchy = machine.hierarchy
+        self.bpu = machine.bpu
         obs = self.obs
         if obs is not None:
-            obs.attach(frontend=frontend, queue=queue, core=core,
-                       hierarchy=hierarchy, bpu=timing_bpu)
-
-        # Consume the queue in refill-sized batches: ``prepare()`` compacts
-        # and refills, ``process_batch`` walks the buffer directly.  Same
-        # instruction-by-instruction semantics as pop()/process(), without
-        # two function calls per simulated instruction.
-        processed = 0
-        limit = self.max_instructions
-        process_batch = core.process_batch
-        while limit is None or processed < limit:
-            available = queue.prepare()
-            if available == 0:
-                break
-            if limit is not None and available > limit - processed:
-                available = limit - processed
-            processed += process_batch(queue, available)
+            obs.attach(frontend=frontend, queue=machine.queue, core=core,
+                       hierarchy=machine.hierarchy, bpu=machine.bpu)
+        machine.run(self.max_instructions)
         stats = core.finalize()
-
         wall = time.perf_counter() - start
-        result = SimulationResult(self.name, self.technique, cfg, stats,
-                                  hierarchy, timing_bpu,
+        result = SimulationResult(self.name, self.technique, self.config,
+                                  stats, machine.hierarchy, machine.bpu,
                                   frontend.output,
                                   frontend.emulator.exit_code, wall,
                                   frontend)
         if obs is not None:
             obs.finalize(result)
         return result
-
-    def _make_bpu(self) -> BranchPredictorUnit:
-        cfg = self.config
-        return BranchPredictorUnit(
-            kind=cfg.predictor_kind,
-            table_bits=cfg.predictor_table_bits,
-            history_bits=cfg.predictor_history_bits,
-            ras_depth=cfg.ras_depth,
-            indirect_bits=cfg.indirect_bits)
 
 
 def simulate(program: Program, technique: str = "nowp",

@@ -77,8 +77,8 @@ class TestBasics:
                            technique="conv").run()
         multi = MulticoreSimulator([pointer_program], config=cfg,
                                    technique="conv").run()
-        assert multi.core_stats[0].cycles == single.cycles
-        assert multi.core_stats[0].wp_fetched == single.stats.wp_fetched
+        assert multi.core_stats[0].counters() == single.stats.counters()
+        assert multi.cache_stats[0] == single.cache_stats
 
     def test_max_instructions_per_core(self, pointer_program):
         result = MulticoreSimulator(

@@ -112,23 +112,6 @@ class TestSampling:
         assert result.stats.wp_trace_missing == 0
         assert result.stats.wp_executed > 0
 
-    def test_warm_gating_pins_detailed_results(self, program):
-        """Gating wrong-path emulation off during fast-forward warming is
-        pure wasted-work elimination: every counter of the detailed
-        intervals must be bit-identical with the gate on or off."""
-        cfg = CoreConfig.scaled()
-        gated = simulate_sampled(program, technique="wpemul", config=cfg,
-                                 detail_length=5000,
-                                 fastforward_length=15_000,
-                                 gate_warm_wp=True)
-        ungated = simulate_sampled(program, technique="wpemul", config=cfg,
-                                   detail_length=5000,
-                                   fastforward_length=15_000,
-                                   gate_warm_wp=False)
-        assert gated.stats.counters() == ungated.stats.counters()
-        assert gated.total_instructions == ungated.total_instructions
-        assert gated.intervals == ungated.intervals
-
     def test_parameter_validation(self, program):
         with pytest.raises(ValueError):
             simulate_sampled(program, detail_length=0)

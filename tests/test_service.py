@@ -398,7 +398,6 @@ class TestDaemon:
         with ServiceClient(daemon.socket_path) as client:
             client.run_one(JOB)
             assert client.cache_stats()["entries"] == 1
-            assert client.cache_migrate() == {"migrated": 0}
             summary = client.cache_gc(0)
             assert summary["evicted"] == 1 and summary["kept"] == 0
 

@@ -1,6 +1,6 @@
 """Tests for the sharded result store: the recency index, LRU garbage
-collection, read-through roots, legacy flat-layout migration, and the
-``repro cache`` CLI over both layouts."""
+collection, read-through roots, leftover flat-layout blobs, and the
+``repro cache`` CLI."""
 
 import json
 import os
@@ -23,8 +23,9 @@ def fake_job(workload="gap.bfs", seed=0, cap=8000):
 
 def plant_blob(store, key, payload=None, flat=False):
     """Write a well-formed blob for ``key`` directly (no simulation),
-    optionally in the legacy flat location, bypassing the index."""
-    path = (store.flat_path_for(key) if flat
+    optionally flat at the root (the pre-sharding layout), bypassing the
+    index."""
+    path = (os.path.join(store.root, f"{key}.json") if flat
             else store.path_for(key))
     os.makedirs(os.path.dirname(path), exist_ok=True)
     blob = {"key": key, "job": {}, "result": payload or {"ipc": 1.0}}
@@ -167,7 +168,6 @@ class TestShardedLayout:
         assert stats["bytes"] > 0
         assert stats["shards_max"] == 256
         assert 1 <= stats["shards_used"] <= 2
-        assert stats["flat_entries"] == 0
         assert stats["indexed"] == 2
 
 
@@ -214,11 +214,13 @@ class TestGC:
         assert not os.path.exists(store.path_for(K1))
 
     def test_gc_works_on_flat_layout(self, tmp_path):
+        """Leftover flat blobs are not entries: gc neither counts nor
+        trips over them."""
         store = ResultStore(str(tmp_path))
         plant_blob(store, K1, flat=True)
-        plant_blob(store, K2, flat=True)
+        plant_blob(store, K2)
         summary = store.gc(max_bytes=0)
-        assert summary["evicted"] == 2
+        assert summary["evicted"] == 1
         assert len(store) == 0
 
     def test_reindex_recovers_lost_index(self, tmp_path):
@@ -242,14 +244,6 @@ class TestReadThrough:
         alone = ResultStore(str(tmp_path / "local"), read_roots=[])
         assert alone.get_payload(job) == {"x": 42}
 
-    def test_read_root_flat_blob_resolves(self, tmp_path):
-        warm = ResultStore(str(tmp_path / "warm"))
-        job = fake_job()
-        plant_blob(warm, job.key, payload={"x": 7}, flat=True)
-        local = ResultStore(str(tmp_path / "local"),
-                            read_roots=[str(tmp_path / "warm")])
-        assert local.get_payload(job) == {"x": 7}
-
     def test_read_roots_never_written(self, tmp_path):
         warm = ResultStore(str(tmp_path / "warm"))
         local = ResultStore(str(tmp_path / "local"),
@@ -271,49 +265,34 @@ class TestReadThrough:
         assert store.read_roots == []
 
 
-class TestFlatMigration:
-    def test_flat_blob_reads_as_hit_and_migrates(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        job = fake_job()
-        plant_blob(store, job.key, payload={"x": 5}, flat=True)
-        assert store.get_payload(job) == {"x": 5}
-        assert not os.path.exists(store.flat_path_for(job.key))
-        assert os.path.exists(store.path_for(job.key))
-        assert job.key in store.index.load()
-
-    def test_bulk_migrate(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        plant_blob(store, K1, flat=True)
-        plant_blob(store, K2, flat=True)
-        assert store.migrate_flat() == 2
-        assert store.stats()["flat_entries"] == 0
-        assert sorted(store.keys()) == sorted([K1, K2])
-
-    def test_migrate_on_empty_store(self, tmp_path):
-        assert ResultStore(str(tmp_path / "absent")).migrate_flat() == 0
+class TestLegacyFlatBlob:
+    def test_flat_blob_reads_as_miss(self, tmp_path):
+        """A blob left flat at a root (the pre-sharding layout) is not an
+        entry: lookups miss without error, in the primary root and
+        through a read root, and the engine recomputes the result."""
+        from repro.engine import ExperimentEngine
+        job = fake_job(cap=6000)
+        warm = ResultStore(str(tmp_path / "warm"))
+        store = ResultStore(str(tmp_path / "local"),
+                            read_roots=[warm.root])
+        for root in (warm, store):
+            plant_blob(root, job.key, payload={"ipc": -1.0}, flat=True)
+        assert store.get_payload(job) is None
+        assert not store.contains(job)
+        assert len(store) == 0
+        outcome = ExperimentEngine(store=store, jobs=1).run([job])[0]
+        assert outcome.status == "ok"
+        assert outcome.result.ipc > 0
+        assert store.get_payload(job) == outcome.result.to_dict()
 
 
 class TestMixedLayoutOps:
-    def test_len_keys_count_both_layouts(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        plant_blob(store, K1, flat=True)
-        plant_blob(store, K3)
-        assert len(store) == 2
-        assert sorted(store.keys()) == sorted([K1, K3])
-
     def test_invalidate_flat_blob(self, tmp_path):
         store = ResultStore(str(tmp_path))
         job = fake_job()
         plant_blob(store, job.key, flat=True)
-        assert store.invalidate(job)
+        assert not store.invalidate(job)
         assert store.get_payload(job) is None
-
-    def test_clear_drops_both_layouts(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        plant_blob(store, K1, flat=True)
-        plant_blob(store, K2)
-        assert store.clear() == 2
-        assert len(store) == 0
 
 
 class TestCacheCLI:
@@ -337,19 +316,13 @@ class TestCacheCLI:
         assert "evicted 1" in capsys.readouterr().out
         assert len(store) == 0
 
-    def test_migrate(self, tmp_path, capsys):
-        store = ResultStore(str(tmp_path))
-        plant_blob(store, K1, flat=True)
-        assert main(["cache", "migrate",
-                     "--cache-dir", str(tmp_path)]) == 0
-        assert "migrated 1" in capsys.readouterr().out
-
     def test_stats_on_flat_layout(self, tmp_path, capsys):
         store = ResultStore(str(tmp_path))
         plant_blob(store, K1, flat=True)
         assert main(["cache", "stats",
                      "--cache-dir", str(tmp_path)]) == 0
-        assert "1" in capsys.readouterr().out
+        assert "entries" in capsys.readouterr().out
+        assert store.stats()["entries"] == 0
 
 
 class TestEngineIntegration:

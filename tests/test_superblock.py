@@ -291,39 +291,29 @@ def test_simulation_matches_scalar_paths(name, technique):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized cache batch path vs the per-access reference.
+# Flattened data path vs the per-access reference.
 # ---------------------------------------------------------------------------
 
-class TestCacheBatchOracle:
+class TestDataFastpathOracle:
     @settings(max_examples=40, deadline=None)
     @given(accesses=st.lists(
         st.tuples(st.integers(0, 1 << 18).map(lambda a: a & ~3),
                   st.booleans(), st.integers(0, 4096)),
         min_size=1, max_size=64),
-        wrong_path=st.booleans())
-    def test_batch_matches_sequential(self, accesses, wrong_path):
-        cfg = CoreConfig.scaled()
-        batch_h = CacheHierarchy.from_config(cfg)
+        wrong_path=st.booleans(),
+        prefetcher=st.sampled_from((None, "next_line", "stride")))
+    def test_fastpath_matches_reference(self, accesses, wrong_path,
+                                        prefetcher):
+        cfg = CoreConfig.scaled().copy(l2_prefetcher=prefetcher)
+        fast_h = CacheHierarchy.from_config(cfg)
         ref_h = CacheHierarchy.from_config(cfg)
-        addrs = [a for a, _, _ in accesses]
-        writes = [w for _, w, _ in accesses]
-        pcs = [p for _, _, p in accesses]
-        got = batch_h.access_data_batch(addrs, writes, pcs,
-                                        wrong_path=wrong_path)
+        got = [fast_h.data_fastpath(a, w, p, wrong_path)
+               for a, w, p in accesses]
         want = [ref_h.access_data(a, w, p, wrong_path)
                 for a, w, p in accesses]
         assert got == want
-        assert batch_h.stats() == ref_h.stats()
-        assert batch_h.state_dict() == ref_h.state_dict()
-
-    def test_batch_optional_arguments(self):
-        cfg = CoreConfig.scaled()
-        batch_h = CacheHierarchy.from_config(cfg)
-        ref_h = CacheHierarchy.from_config(cfg)
-        addrs = [64 * n for n in range(32)]
-        assert batch_h.access_data_batch(addrs) == \
-            [ref_h.access_data(a) for a in addrs]
-        assert batch_h.stats() == ref_h.stats()
+        assert fast_h.stats() == ref_h.stats()
+        assert fast_h.state_dict() == ref_h.state_dict()
 
 
 # ---------------------------------------------------------------------------
