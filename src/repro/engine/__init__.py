@@ -29,22 +29,27 @@ per finished job — status (``hit``/``ok``/``failed``/``abandoned``),
 attempts, wall time, host instructions/sec — to ``<cache>/
 journal.jsonl``.  It is the audit trail ``repro report`` summarizes.
 
-**Executor failure semantics** (executor.py).
-:class:`ExperimentEngine` resolves jobs against the store, then fans
-misses out over a ``ProcessPoolExecutor``:
+**Executor** (scheduler.py, executor.py).  :class:`Scheduler` is the
+one job executor, shared by the embedded engine and the sweep daemon
+(:mod:`repro.service`).  It resolves each job against the store, runs
+each unique key in flight once (repeats get ``"shared"`` outcomes),
+and hands misses to a ``ProcessPoolExecutor``, at most ``workers``
+attempts at a time:
 
-* each attempt gets a wall-clock ``timeout`` (pool mode only); an
-  expired attempt whose worker cannot be cancelled forces a *pool
-  replacement* — the stuck attempt is journaled ``"abandoned"`` and
-  recorded on :attr:`ExperimentEngine.abandoned` (the CLI exits
-  nonzero on these even when the retry later succeeds),
-* failures retry up to ``retries`` extra attempts; the budget is
-  shared with the serial fallback, so pool attempts are not granted
-  again after a fallback,
-* a broken or uncreatable pool degrades to serial in-process
-  execution instead of failing the run,
-* every job always ends with a :class:`JobOutcome`; outcomes are
-  journaled in input order.
+* each pool attempt gets a wall-clock ``timeout``, counted from when it
+  gets a worker slot; an expired attempt whose worker cannot be
+  cancelled forces a *pool replacement* — the stuck attempt is
+  journaled ``"abandoned"`` and recorded on
+  :attr:`ExperimentEngine.abandoned` (the CLI exits nonzero on these
+  even when the retry later succeeds),
+* failures, timeouts and broken pools (a killed worker) retry up to
+  ``retries`` extra attempts, on a fresh pool when the old one died,
+* every job always ends with a :class:`JobOutcome`, journaled when it
+  finishes.
+
+:class:`ExperimentEngine` (executor.py) runs one batch per ``run()``
+through ``asyncio.run``.  It runs jobs in this process when ``jobs=1``,
+when the batch has a single miss, or when no pool can be created.
 
 :func:`expand_grid` (grid.py) is the sweep vocabulary that builds job
 lists from workload/technique/config axes.
@@ -68,11 +73,12 @@ from repro.engine.job import (JOB_KINDS, SimJob, code_fingerprint,
                               job_class, job_from_transport,
                               job_to_transport, register_job_kind)
 from repro.engine.journal import RunJournal
+from repro.engine.scheduler import Scheduler
 from repro.engine.store import ResultStore, StoreIndex
 
 __all__ = [
     "ExperimentEngine", "JobOutcome", "SimJob", "code_fingerprint",
-    "ResultStore", "RunJournal", "StoreIndex", "expand_grid",
+    "ResultStore", "RunJournal", "Scheduler", "StoreIndex", "expand_grid",
     "parse_overrides", "resolve_techniques", "resolve_workload",
     "resolve_workloads", "JOB_KINDS", "job_class", "job_from_transport",
     "job_to_transport", "register_job_kind",

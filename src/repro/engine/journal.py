@@ -8,8 +8,9 @@ failure — appends one record to ``<cache>/journal.jsonl``::
      "wall_seconds": 3.1, "sim_wall_seconds": 3.0,
      "instructions": 309583, "host_ips": 99865.5, "error": null}
 
-``wall_seconds`` is the engine's end-to-end time for the job (queueing,
-transport, cache I/O included); ``sim_wall_seconds`` is the simulator's
+``wall_seconds`` is the engine's time for the job from when its first
+attempt got a worker slot (transport, retries and cache I/O included,
+queueing behind other jobs not); ``sim_wall_seconds`` is the simulator's
 own wall clock; ``host_ips`` is simulated instructions per host second —
 the throughput number the paper's speed section (V-B) is about.  The
 journal is the audit trail for sweep regressions ("which job got slow /

@@ -14,16 +14,16 @@ Clients submit jobs in the executor's transport form
 :func:`~repro.engine.job.job_to_transport`), and the daemon streams one
 ``job`` event per finished job plus a terminal ``done`` summary.
 
-**Scheduler** (scheduler.py).  The dedupe heart: one asyncio task per
-*unique* job key.  N clients submitting the same key while it is in
-flight all await the same execution (journaled once as ``"ok"``, the
-attachments as ``"shared"``); store hits short-circuit without touching
-the pool.  Execution dispatches through the same
-``JOB_KINDS``/process-pool worker entry the embedded engine uses, with
-the PR-2 failure semantics preserved: per-attempt timeout, pool
-replacement when a stuck worker cannot be cancelled (journaled
-``"abandoned"``), bounded retries, and a broken pool (killed worker)
-retried on a fresh pool without dropping client connections.
+**Scheduler** (:mod:`repro.engine.scheduler`).  The daemon drives
+the engine's one job executor: one asyncio task per *unique* job key.
+N clients submitting the same key while it is in flight all await the
+same execution (journaled once as ``"ok"``, the attachments as
+``"shared"``); store hits short-circuit without touching the pool.
+Per-attempt timeouts, pool replacement when a stuck worker cannot be
+cancelled (journaled ``"abandoned"``), bounded retries and a broken
+pool (killed worker) retried on a fresh pool are the same rules the
+embedded :class:`~repro.engine.executor.ExperimentEngine` runs under;
+the daemon never runs a job in its own process.
 
 **Daemon** (daemon.py).  The asyncio front end: accepts connections,
 validates requests, fans submissions into the scheduler, streams
@@ -37,15 +37,16 @@ the exact rendering and error paths of the embedded engine — and fall
 back to it transparently when no daemon is listening.
 
 Results served by the daemon are **digest-identical** to embedded-engine
-results: both sides ship the one serialized ``to_dict()`` form the store
-uses (a tested invariant, see ``tests/test_service.py``).
+results: the daemon serializes each result with ``to_dict()`` when it
+writes the wire, the same form the store and the pool workers use (a
+tested invariant, see ``tests/test_service.py``).
 """
 
+from repro.engine.scheduler import Scheduler
 from repro.service.client import (ServiceClient, ServiceError,
                                   ServiceUnavailable, connect_or_none)
 from repro.service.daemon import ServiceDaemon
 from repro.service.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.service.scheduler import Scheduler
 
 __all__ = [
     "PROTOCOL_VERSION", "ProtocolError", "Scheduler", "ServiceClient",

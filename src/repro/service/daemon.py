@@ -34,19 +34,26 @@ import socket
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.engine.executor import JobOutcome
 from repro.engine.job import job_from_transport
 from repro.engine.journal import RunJournal
+from repro.engine.scheduler import Scheduler
 from repro.engine.store import ResultStore
 from repro.service import protocol
 from repro.service.protocol import ProtocolError
-from repro.service.scheduler import Scheduler
 
 _HTTP_STATUS = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed", 500: "Internal Server Error"}
 
-#: Keys of a scheduler outcome dict that go into a ``job`` wire event.
-_JOB_EVENT_KEYS = ("key", "label", "kind", "status", "cached",
-                   "attempts", "wall_seconds", "error", "result")
+
+def _job_event(outcome: JobOutcome) -> Dict[str, Any]:
+    """One outcome in wire form; the result is serialized only here."""
+    job, result = outcome.job, outcome.result
+    return {"key": job.key, "label": job.label, "kind": job.kind,
+            "status": outcome.status, "cached": outcome.cached,
+            "attempts": outcome.attempts,
+            "wall_seconds": outcome.wall_seconds, "error": outcome.error,
+            "result": None if result is None else result.to_dict()}
 
 
 class ServiceDaemon:
@@ -290,9 +297,9 @@ class ServiceDaemon:
             return
         fresh = bool(message.get("fresh", False))
         use_store = bool(message.get("store", True))
-        outcomes = [None] * len(jobs)   # type: List[Optional[dict]]
+        outcomes = [None] * len(jobs)   # type: List[Optional[JobOutcome]]
 
-        async def one(seq: int, job: Any) -> Tuple[int, dict]:
+        async def one(seq: int, job: Any) -> Tuple[int, JobOutcome]:
             return seq, await self.scheduler.submit(
                 job, fresh=fresh, use_store=use_store)
 
@@ -303,24 +310,19 @@ class ServiceDaemon:
             for future in asyncio.as_completed(tasks):
                 seq, outcome = await future
                 outcomes[seq] = outcome
-                abandoned.extend(outcome.get("abandoned", ()))
-                event = {k: outcome[k] for k in _JOB_EVENT_KEYS}
+                abandoned.extend(outcome.abandoned)
+                event = _job_event(outcome)
                 event.update({"event": "job", "id": rid, "seq": seq})
                 await send(event)
         finally:
             for task in tasks:
                 task.cancel()
-        summary = {
-            "total": len(outcomes),
-            "hits": sum(1 for o in outcomes
-                        if o and o["status"] == "hit"),
-            "executed": sum(1 for o in outcomes
-                            if o and o["status"] == "ok"),
-            "shared": sum(1 for o in outcomes
-                          if o and o["status"] == "shared"),
-            "failed": sum(1 for o in outcomes
-                          if o and o["status"] == "failed"),
-        }
+        statuses = [o.status for o in outcomes if o is not None]
+        summary = {"total": len(outcomes),
+                   "hits": statuses.count("hit"),
+                   "executed": statuses.count("ok"),
+                   "shared": statuses.count("shared"),
+                   "failed": statuses.count("failed")}
         await send({"event": "done", "id": rid, "summary": summary,
                     "abandoned": abandoned})
 
@@ -424,9 +426,7 @@ class ServiceDaemon:
                     use_store=bool(message.get("store", True)))
                 for job in jobs])
             return 200, {
-                "jobs": [{k: o[k] for k in _JOB_EVENT_KEYS}
-                         for o in outcomes],
-                "abandoned": [a for o in outcomes
-                              for a in o.get("abandoned", ())],
+                "jobs": [_job_event(o) for o in outcomes],
+                "abandoned": [a for o in outcomes for a in o.abandoned],
             }
         return 404, {"error": f"no such endpoint {target}"}

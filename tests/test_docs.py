@@ -177,6 +177,47 @@ class TestDesignSectionPass:
         assert check_docs.check_design_sections(root=str(tmp_path)) == []
 
 
+class TestPyPathPass:
+    def _tree(self, tmp_path, doc):
+        for relpath in ("src/repro/engine/scheduler.py",
+                        "src/repro/service/daemon.py", "tools/smoke.py"):
+            dest = tmp_path / relpath
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            dest.write_text("")
+        (tmp_path / "DESIGN.md").write_text(doc)
+        return check_docs.check_py_paths(root=str(tmp_path),
+                                         files=("DESIGN.md",))
+
+    def test_real_docs_py_paths_resolve(self):
+        assert check_docs.check_py_paths() == []
+
+    def test_roadmap_exempt(self):
+        assert "ROADMAP.md" not in check_docs.PY_PATH_FILES
+        assert set(check_docs.PY_PATH_FILES) == \
+            set(check_docs.CHECKED_FILES) - {"ROADMAP.md"}
+
+    def test_path_suffixes_pass(self, tmp_path):
+        doc = ("`service/daemon.py`, `daemon.py`, "
+               "`src/repro/engine/scheduler.py`, `./tools/smoke.py`,\n"
+               "`PYTHONPATH=src python tools/smoke.py`, "
+               "`engine/scheduler.py::Scheduler`\n")
+        assert self._tree(tmp_path, doc) == []
+
+    def test_stale_module_reported(self, tmp_path):
+        problems = self._tree(tmp_path, "# t\nSee `service/scheduler.py`.\n")
+        assert problems == ["DESIGN.md:2: names `service/scheduler.py`, "
+                            "which matches no file in the repo"]
+
+    def test_suffix_must_split_on_components(self, tmp_path):
+        problems = self._tree(tmp_path, "`ice/daemon.py` `mon.py`\n")
+        assert len(problems) == 2
+
+    def test_fences_globs_and_prose_ignored(self, tmp_path):
+        doc = ("```\nmissing/gone.py\n```\n"
+               "`bench_*.py` and gone.py outside backticks\n")
+        assert self._tree(tmp_path, doc) == []
+
+
 class TestRealDocs:
     """The actual repo docs must pass every check."""
 

@@ -369,6 +369,64 @@ class TestEngineParallel:
         assert all("timeout" in o.error for o in outcomes)
 
 
+def _no_pool(scheduler):
+    raise AssertionError("the pool factory must not be called")
+
+
+class TestEnginePlacement:
+    """Where the embedded engine runs a batch's jobs, and in-flight
+    dedupe within one batch."""
+
+    def test_repeated_job_runs_once(self, tmp_path):
+        engine = ExperimentEngine(store=ResultStore(str(tmp_path)), jobs=2)
+        outcomes = engine.run([GRID[0], GRID[0]])
+        assert sorted(o.status for o in outcomes) == ["ok", "shared"]
+        assert outcomes[0].result.to_dict() == outcomes[1].result.to_dict()
+        statuses = [e["status"] for e in engine.journal.entries()]
+        assert statuses.count("ok") == 1
+        summary = ExperimentEngine.summarize(outcomes)
+        assert summary["simulated"] == 2 and summary["failed"] == 0
+
+    def test_jobs_1_never_creates_a_pool(self, monkeypatch):
+        from repro.engine import Scheduler
+        monkeypatch.setattr(Scheduler, "_make_pool", _no_pool)
+        outcomes = ExperimentEngine(jobs=1).run(GRID[:2])
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+
+    def test_single_miss_runs_in_process(self, tmp_path, monkeypatch):
+        from repro.engine import Scheduler
+        store = ResultStore(str(tmp_path))
+        ExperimentEngine(store=store, jobs=1).run(GRID[:3])
+        monkeypatch.setattr(Scheduler, "_make_pool", _no_pool)
+        outcomes = ExperimentEngine(store=store, jobs=4).run(GRID)
+        assert [o.status for o in outcomes] == ["hit"] * 3 + ["ok"]
+
+    def test_ctrl_c_in_process_stops_the_batch(self, monkeypatch):
+        # An in-process attempt runs on the calling thread, so Ctrl-C
+        # interrupts the job itself and leaves no engine thread behind.
+        import threading
+
+        def interrupted(job):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(SimJob, "run", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ExperimentEngine(jobs=1).run(GRID[:2])
+        assert not [t for t in threading.enumerate()
+                    if t.name == "repro-engine"]
+
+    def test_pool_creation_oserror_runs_in_process(self, monkeypatch):
+        from repro.engine import Scheduler
+
+        def no_processes(scheduler):
+            raise OSError("cannot fork")
+
+        monkeypatch.setattr(Scheduler, "_make_pool", no_processes)
+        outcomes = ExperimentEngine(jobs=4).run(GRID)
+        assert [o.status for o in outcomes] == ["ok"] * len(GRID)
+        assert [o.attempts for o in outcomes] == [1] * len(GRID)
+
+
 class TestCrossInterpreterDeterminism:
     def test_fresh_interpreter_reproduces_stats(self, tmp_path,
                                                 live_result):

@@ -10,7 +10,7 @@ import threading
 import urllib.error
 import urllib.request
 from collections import Counter
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -26,9 +26,6 @@ JOB = SimJob(workload="gap.bfs", technique="conv", scale="tiny",
              max_instructions=6000)
 JOB2 = SimJob(workload="gap.bfs", technique="nowp", scale="tiny",
               max_instructions=6000)
-
-PAYLOAD = {"ipc": 1.0, "wall_seconds": 0.0}
-
 
 def _stats_without_wall(payload):
     data = dict(payload)
@@ -86,27 +83,85 @@ class TestProtocol:
 # -- scheduler with a scripted pool ------------------------------------------------
 
 
+class FakePool:
+    """Pool stand-in: each submit plays back the next behaviour of a
+    shared script as a real :class:`Future` (so ``cancel()`` is a no-op
+    on a running one, as with real workers), and records every call."""
+
+    def __init__(self, script):
+        self.script = script
+        self.submitted = []
+        self.shutdowns = []
+
+    def submit(self, fn, payload):
+        future = self.script.pop(0)(payload)
+        self.submitted.append((future, payload))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
+
+
+class OneWorkerPool(FakePool):
+    """A one-process pool in miniature: attempts run one after another
+    for ``seconds`` each; a queued future can still be cancelled, the
+    running one cannot."""
+
+    def __init__(self, payload, seconds):
+        super().__init__([])
+        self.payload = payload
+        self.seconds = seconds
+        self.queue = []
+        self.busy = False
+
+    def submit(self, fn, payload):
+        future = Future()
+        self.submitted.append((future, payload))
+        self.queue.append(future)
+        self._next()
+        return future
+
+    def _next(self):
+        while not self.busy and self.queue:
+            future = self.queue.pop(0)
+            if future.set_running_or_notify_cancel():
+                self.busy = True
+                asyncio.get_running_loop().call_later(
+                    self.seconds, self._finish, future)
+
+    def _finish(self, future):
+        future.set_result(self.payload)
+        self.busy = False
+        self._next()
+
+
 class ScriptedScheduler(Scheduler):
-    """Scheduler whose 'pool' plays back a list of behaviours (one per
-    submit) and whose pool replacement is a counter bump — no real
-    worker processes involved."""
+    """Scheduler whose pool factory (the ``_make_pool`` seam) hands out
+    :class:`FakePool`s playing back one script — no worker processes."""
 
     def __init__(self, script, **kwargs):
         super().__init__(**kwargs)
         self.script = list(script)
-        self.calls = 0
+        self.pools = []
 
-    def _submit_to_pool(self, job):
-        self.calls += 1
-        return self.script.pop(0)(job)
+    def _make_pool(self):
+        self.pools.append(FakePool(self.script))
+        return self.pools[-1]
 
-    def _replace_pool(self):
-        self.counters["pool_replacements"] += 1
+    @property
+    def calls(self):
+        return sum(len(pool.submitted) for pool in self.pools)
+
+
+@pytest.fixture(scope="module")
+def payload(live_result):
+    """A real result payload, as a pool worker returns it."""
+    return live_result.to_dict()
 
 
 def ok_after(payload, delay=0.0):
     """Behaviour: resolve with ``payload`` after ``delay`` seconds."""
-    def behave(job):
+    def behave(transport):
         future = Future()
         if delay:
             asyncio.get_running_loop().call_later(
@@ -117,14 +172,14 @@ def ok_after(payload, delay=0.0):
     return behave
 
 
-def broken(job):
+def broken(transport):
     """Behaviour: the worker died mid-attempt."""
     future = Future()
     future.set_exception(BrokenProcessPool("worker died"))
     return future
 
 
-def stuck(job):
+def stuck(transport):
     """Behaviour: never resolves and cannot be cancelled (a running
     worker holding its slot)."""
     future = Future()
@@ -132,113 +187,210 @@ def stuck(job):
     return future
 
 
-def pending(job):
+def pending(transport):
     """Behaviour: never resolves but still cancellable (queued)."""
     return Future()
 
 
+def _submit_all(sched, *jobs):
+    async def go():
+        return await asyncio.gather(*(sched.submit(job) for job in jobs))
+    return asyncio.run(go())
+
+
 class TestScheduler:
-    def test_concurrent_twins_share_one_execution(self):
-        async def go():
-            sched = ScriptedScheduler([ok_after(PAYLOAD, delay=0.02)])
-            first = asyncio.ensure_future(sched.submit(JOB))
-            second = asyncio.ensure_future(sched.submit(JOB))
-            return sched, await first, await second
-        sched, a, b = asyncio.run(go())
+    def test_concurrent_twins_share_one_execution(self, payload):
+        sched = ScriptedScheduler([ok_after(payload, delay=0.02)])
+        a, b = _submit_all(sched, JOB, JOB)
         assert sched.calls == 1
-        assert a["status"] == "ok" and b["status"] == "shared"
-        assert a["result"] == b["result"] == PAYLOAD
+        assert a.status == "ok" and b.status == "shared"
+        assert a.result.to_dict() == b.result.to_dict() == payload
         assert sched.counters["shared"] == 1
 
-    def test_distinct_keys_do_not_share(self):
-        async def go():
-            sched = ScriptedScheduler([ok_after(PAYLOAD)] * 2)
-            return sched, await asyncio.gather(sched.submit(JOB),
-                                               sched.submit(JOB2))
-        sched, outs = asyncio.run(go())
+    def test_distinct_keys_do_not_share(self, payload):
+        sched = ScriptedScheduler([ok_after(payload)] * 2)
+        outs = _submit_all(sched, JOB, JOB2)
         assert sched.calls == 2
-        assert [o["status"] for o in outs] == ["ok", "ok"]
+        assert [o.status for o in outs] == ["ok", "ok"]
 
-    def test_store_hit_short_circuits_pool(self, tmp_path):
+    def test_store_hit_short_circuits_pool(self, tmp_path, payload):
         store = ResultStore(str(tmp_path))
-        store.put_payload(JOB, PAYLOAD)
-        async def go():
-            sched = ScriptedScheduler([], store=store)
-            return sched, await sched.submit(JOB)
-        sched, out = asyncio.run(go())
-        assert sched.calls == 0
-        assert out["status"] == "hit" and out["cached"]
-        assert out["result"] == PAYLOAD
+        store.put_payload(JOB, payload)
+        sched = ScriptedScheduler([], store=store)
+        out, = _submit_all(sched, JOB)
+        assert sched.calls == 0 and not sched.pools
+        assert out.status == "hit" and out.cached
+        assert out.result.to_dict() == payload
 
-    def test_fresh_bypasses_store_and_rewrites(self, tmp_path):
+    def test_fresh_bypasses_store_and_rewrites(self, tmp_path, payload):
         store = ResultStore(str(tmp_path))
         store.put_payload(JOB, {"ipc": 0.0, "wall_seconds": 0.0})
-        async def go():
-            sched = ScriptedScheduler([ok_after(PAYLOAD)], store=store)
-            return sched, await sched.submit(JOB, fresh=True)
-        sched, out = asyncio.run(go())
-        assert sched.calls == 1 and out["status"] == "ok"
-        assert store.get_payload(JOB) == PAYLOAD
+        sched = ScriptedScheduler([ok_after(payload)], store=store)
+        out = asyncio.run(sched.submit(JOB, fresh=True))
+        assert sched.calls == 1 and out.status == "ok"
+        assert store.get_payload(JOB) == payload
 
-    def test_broken_pool_is_replaced_and_retried(self, tmp_path):
+    def test_broken_pool_is_replaced_and_retried(self, tmp_path, payload):
         journal = RunJournal(str(tmp_path / "j.jsonl"))
-        async def go():
-            sched = ScriptedScheduler([broken, ok_after(PAYLOAD)],
-                                      journal=journal, retries=1)
-            return sched, await sched.submit(JOB)
-        sched, out = asyncio.run(go())
-        assert out["status"] == "ok" and out["attempts"] == 2
+        sched = ScriptedScheduler([broken, ok_after(payload)],
+                                  journal=journal, retries=1)
+        out, = _submit_all(sched, JOB)
+        assert out.status == "ok" and out.attempts == 2
         assert sched.counters["pool_replacements"] == 1
+        assert len(sched.pools) == 2
+        assert sched.pools[0].shutdowns == [(False, False)]
+
+    def test_one_broken_pool_is_replaced_once(self, payload):
+        # A worker death fails every attempt on the pool; only the
+        # first job to notice replaces it, so the retries share one pool.
+        running = []
+
+        def dies_with_the_pool(transport):
+            future = Future()
+            running.append(future)
+            if len(running) == 2:
+                for each in running:
+                    each.set_exception(BrokenProcessPool("worker died"))
+            return future
+
+        sched = ScriptedScheduler([dies_with_the_pool, dies_with_the_pool,
+                                   ok_after(payload), ok_after(payload)],
+                                  workers=2, retries=1)
+        outs = _submit_all(sched, JOB, JOB2)
+        assert [o.status for o in outs] == ["ok", "ok"]
+        assert [o.attempts for o in outs] == [2, 2]
+        assert sched.counters["pool_replacements"] == 1
+        assert len(sched.pools) == 2
+
+    def test_broken_pool_attempt_counts_against_budget(self, payload,
+                                                       monkeypatch):
+        # retries=0 and the only attempt died with its pool: the job
+        # fails without a second execution anywhere — not in a fresh
+        # pool, not in this process (even for the embedded engine).
+        runs = []
+        monkeypatch.setattr(SimJob, "run",
+                            lambda job: runs.append(job.label))
+        sched = ScriptedScheduler([broken, broken], workers=2, retries=0)
+        with ThreadPoolExecutor(max_workers=1) as calling_thread:
+            sched.calling_thread = calling_thread
+            outs = _submit_all(sched, JOB, JOB2)
+        assert [o.status for o in outs] == ["failed", "failed"]
+        assert [o.attempts for o in outs] == [1, 1]
+        assert all("BrokenProcessPool" in o.error for o in outs)
+        assert sched.calls == 2 and runs == []
 
     def test_budget_exhaustion_fails_the_job(self):
-        async def go():
-            sched = ScriptedScheduler([broken, broken], retries=1)
-            return await sched.submit(JOB)
-        out = asyncio.run(go())
-        assert out["status"] == "failed" and out["attempts"] == 2
-        assert "BrokenProcessPool" in out["error"]
-        assert out["result"] is None
+        sched = ScriptedScheduler([broken, broken], retries=1)
+        out, = _submit_all(sched, JOB)
+        assert out.status == "failed" and out.attempts == 2
+        assert "BrokenProcessPool" in out.error
+        assert out.result is None
 
     def test_worker_exception_is_an_outcome(self):
-        def exploding(job):
+        def exploding(transport):
             future = Future()
             future.set_exception(ValueError("bad config"))
             return future
-        async def go():
-            sched = ScriptedScheduler([exploding], retries=0)
-            return await sched.submit(JOB)
-        out = asyncio.run(go())
-        assert out["status"] == "failed"
-        assert "ValueError" in out["error"]
+        sched = ScriptedScheduler([exploding], retries=0)
+        out, = _submit_all(sched, JOB)
+        assert out.status == "failed"
+        assert "ValueError" in out.error
 
-    def test_stuck_worker_is_abandoned_then_retried(self, tmp_path):
+    def test_wall_time_is_per_job(self, payload):
+        # Two jobs submitted together, finishing far apart: each
+        # reports its own span, not the batch's.
+        sched = ScriptedScheduler([ok_after(payload, delay=0.4),
+                                   ok_after(payload, delay=0.02)],
+                                  workers=2)
+        slow, fast = _submit_all(sched, JOB, JOB2)
+        assert slow.wall_seconds >= 0.35
+        assert fast.wall_seconds < 0.2
+
+    def test_stuck_worker_is_abandoned_then_retried(self, tmp_path,
+                                                    payload):
         journal = RunJournal(str(tmp_path / "j.jsonl"))
-        async def go():
-            sched = ScriptedScheduler([stuck, ok_after(PAYLOAD)],
-                                      journal=journal,
-                                      timeout=0.05, retries=1)
-            return sched, await sched.submit(JOB)
-        sched, out = asyncio.run(go())
-        assert out["status"] == "ok" and out["attempts"] == 2
-        assert len(out["abandoned"]) == 1
+        sched = ScriptedScheduler([stuck, ok_after(payload)],
+                                  journal=journal,
+                                  timeout=0.05, retries=1)
+        out, = _submit_all(sched, JOB)
+        assert out.status == "ok" and out.attempts == 2
+        assert len(out.abandoned) == 1
         assert sched.counters["abandoned"] == 1
         assert sched.counters["pool_replacements"] == 1
         statuses = [e["status"] for e in journal.entries()]
         assert statuses == ["abandoned", "ok"]
 
-    def test_cancellable_timeout_retries_without_abandoning(self):
+    def test_expired_running_attempt_replaces_pool(self, tmp_path,
+                                                   payload):
+        # JOB's worker is stuck past the timeout: the pool is retired
+        # (journaled "abandoned") and JOB retries on a fresh one; JOB2,
+        # running beside it, finishes where it was on its first attempt.
+        journal = RunJournal(str(tmp_path / "j.jsonl"))
+        sched = ScriptedScheduler([stuck, ok_after(payload, delay=0.15),
+                                   ok_after(payload)],
+                                  journal=journal, workers=2,
+                                  timeout=0.2, retries=1)
+
         async def go():
-            sched = ScriptedScheduler([pending, ok_after(PAYLOAD)],
-                                      timeout=0.05, retries=1)
-            return sched, await sched.submit(JOB)
-        sched, out = asyncio.run(go())
-        assert out["status"] == "ok" and out["attempts"] == 2
-        assert out["abandoned"] == []
+            first = asyncio.ensure_future(sched.submit(JOB))
+            await asyncio.sleep(0.1)    # JOB2 runs from 0.1 s to 0.25 s
+            return await asyncio.gather(first, sched.submit(JOB2))
+
+        expired, survivor = asyncio.run(go())
+        assert expired.status == "ok" and expired.attempts == 2
+        assert survivor.status == "ok" and survivor.attempts == 1
+        assert len(sched.pools) == 2
+        assert sched.pools[0].shutdowns == [(False, False)]
+        assert [p for _, p in sched.pools[1].submitted] == \
+            [job_to_transport(JOB)]
+        abandoned = [e for e in journal.entries()
+                     if e["status"] == "abandoned"]
+        assert len(abandoned) == 1
+        assert abandoned[0]["job"] == JOB.label
+        assert "abandoned" in abandoned[0]["error"]
+
+    def test_expired_queued_attempt_keeps_pool(self, payload):
+        # A queued (never started) attempt cancels cleanly: no pool
+        # replacement, straight to retry/fail.
+        sched = ScriptedScheduler([pending, ok_after(payload, delay=0.02)],
+                                  workers=2, timeout=0.1, retries=0)
+        expired, live = _submit_all(sched, JOB, JOB2)
+        assert expired.status == "failed" and "timeout" in expired.error
+        assert expired.abandoned == []
+        assert live.status == "ok"
+        assert len(sched.pools) == 1 and sched.pools[0].shutdowns == []
         assert sched.counters["pool_replacements"] == 0
 
-    def test_journal_write_stays_off_the_event_loop(self, tmp_path):
-        # Regression for the SC007 fix: journal appends go through
-        # asyncio.to_thread, so a slow disk write stalls the one
+    def test_cancellable_timeout_retries_without_abandoning(self,
+                                                            payload):
+        sched = ScriptedScheduler([pending, ok_after(payload)],
+                                  timeout=0.05, retries=1)
+        out, = _submit_all(sched, JOB)
+        assert out.status == "ok" and out.attempts == 2
+        assert out.abandoned == []
+        assert sched.counters["pool_replacements"] == 0
+
+    def test_timeout_clock_starts_at_worker_slot(self, tmp_path, payload):
+        # One worker, two 0.3 s jobs, a 0.5 s timeout: each attempt fits
+        # its timeout, the two together do not.  Waiting for the worker
+        # must not count against the second job.
+        journal = RunJournal(str(tmp_path / "j.jsonl"))
+        pool = OneWorkerPool(payload, seconds=0.3)
+        sched = Scheduler(journal=journal, workers=1, timeout=0.5,
+                          retries=1)
+        sched._make_pool = lambda: pool
+        outs = _submit_all(sched, JOB, JOB2)
+        assert [o.status for o in outs] == ["ok", "ok"]
+        assert [o.attempts for o in outs] == [1, 1]
+        assert len(pool.submitted) == 2
+        assert all(o.wall_seconds < 0.5 for o in outs)
+        assert "abandoned" not in [e["status"]
+                                   for e in journal.entries()]
+
+    def test_journal_write_stays_off_the_event_loop(self, tmp_path,
+                                                    payload):
+        # Regression for the SC007 fix: journal appends run on an
+        # executor thread, so a slow disk write stalls the one
         # submission, never the loop.
         journal = RunJournal(str(tmp_path / "j.jsonl"))
         release = threading.Event()
@@ -251,7 +403,7 @@ class TestScheduler:
         journal.record = slow_record
 
         async def go():
-            sched = ScriptedScheduler([ok_after(PAYLOAD)],
+            sched = ScriptedScheduler([ok_after(payload)],
                                       journal=journal)
             task = asyncio.ensure_future(sched.submit(JOB))
             # While the write sits blocked in its worker thread, the
@@ -264,20 +416,16 @@ class TestScheduler:
             return await task
 
         out = asyncio.run(go())
-        assert out["status"] == "ok"
+        assert out.status == "ok"
         assert [e["status"] for e in journal.entries()] == ["ok"]
 
-    def test_journal_vocabulary(self, tmp_path):
+    def test_journal_vocabulary(self, tmp_path, payload):
         store = ResultStore(str(tmp_path))
         journal = RunJournal(store.journal_path)
-        async def go():
-            sched = ScriptedScheduler([ok_after(PAYLOAD, delay=0.02)],
-                                      store=store, journal=journal)
-            first = asyncio.ensure_future(sched.submit(JOB))
-            second = asyncio.ensure_future(sched.submit(JOB))
-            await asyncio.gather(first, second)
-            await sched.submit(JOB)     # store hit now
-        asyncio.run(go())
+        sched = ScriptedScheduler([ok_after(payload, delay=0.02)],
+                                  store=store, journal=journal)
+        _submit_all(sched, JOB, JOB)
+        _submit_all(sched, JOB)         # store hit now
         statuses = Counter(e["status"] for e in journal.entries())
         assert statuses == {"ok": 1, "shared": 1, "hit": 1}
 

@@ -509,3 +509,30 @@ class TestInterproceduralIndexes:
         assert project._graph is None and project._effects is None
         project.effects
         assert project._graph is not None
+
+
+class TestAsyncSafetyScope:
+    """SC007 covers every package whose coroutines run on an event
+    loop: the daemon's and the scheduler the engine shares with it."""
+
+    SOURCE = textwrap.dedent("""\
+        import time
+
+
+        async def tick():
+            time.sleep(1)
+        """)
+
+    def _scan_in(self, tmp_path, package):
+        pkg = tmp_path / "src" / "repro" / package
+        pkg.mkdir(parents=True)
+        mod = pkg / "loop.py"
+        mod.write_text(self.SOURCE)
+        return [f.rule for f in scan(mod, select=["SC007"])]
+
+    @pytest.mark.parametrize("package", ["engine", "service"])
+    def test_loop_packages_checked(self, tmp_path, package):
+        assert self._scan_in(tmp_path, package) == ["SC007"]
+
+    def test_other_packages_not_checked(self, tmp_path):
+        assert self._scan_in(tmp_path, "analysis") == []

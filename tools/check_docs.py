@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks for the top-level markdown files.
 
-Four passes, all run by CI's docs job (and by ``tests/test_docs.py``):
+Six passes, all run by CI's docs job (and by ``tests/test_docs.py``):
 
 1. **Links** — every relative link ``[text](path)`` must point at an
    existing file, and every ``#anchor`` (same-file or cross-file) must
@@ -23,6 +23,11 @@ Four passes, all run by CI's docs job (and by ``tests/test_docs.py``):
    1, subsections contiguous from ``N.1`` under their parent.
    Inserting a chapter without renumbering the rest (or renumbering
    without chasing cross-references) fails this pass.
+6. **Python paths** — every ``*.py`` path inside a backticked code span
+   must be a path suffix of a file in the repo (``service/daemon.py``
+   matches ``src/repro/service/daemon.py``), so a moved or deleted
+   module cannot stay named in the docs.  ROADMAP.md is exempt: it
+   names files that are planned but not written yet.
 
 Usage::
 
@@ -55,6 +60,10 @@ CHECKED_FILES = (
 
 #: Files whose ``>>>`` examples are executed.
 DOCTEST_FILES = ("README.md", "DESIGN.md")
+
+#: Files whose backticked ``*.py`` paths must exist (ROADMAP.md names
+#: planned files).
+PY_PATH_FILES = tuple(f for f in CHECKED_FILES if f != "ROADMAP.md")
 
 _LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
@@ -292,6 +301,53 @@ def check_design_sections(root: str = REPO_ROOT) -> List[str]:
     return problems
 
 
+_CODE_SPAN_RE = re.compile(r"(`+)(.+?)\1")
+_PY_PATH_RE = re.compile(r"(?<![\w/.-])[\w.-]+(?:/[\w.-]+)*\.py(?![\w/])")
+
+
+def repo_path_suffixes(root: str = REPO_ROOT) -> set:
+    """Every ``/``-joined trailing run of path components of every file
+    under ``root`` (hidden directories and ``__pycache__`` skipped)."""
+    suffixes: set = set()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames
+                       if not d.startswith(".") and d != "__pycache__"]
+        rel = os.path.relpath(dirpath, root)
+        parts = [] if rel == "." else rel.split(os.sep)
+        for name in filenames:
+            path = parts + [name]
+            for i in range(len(path)):
+                suffixes.add("/".join(path[i:]))
+    return suffixes
+
+
+def check_py_paths(root: str = REPO_ROOT,
+                   files: Tuple[str, ...] = PY_PATH_FILES) -> List[str]:
+    """Backticked ``*.py`` paths that name no file in the repo."""
+    suffixes = repo_path_suffixes(root)
+    problems: List[str] = []
+    for relpath in files:
+        with open(os.path.join(root, relpath), encoding="utf-8") as fh:
+            text = fh.read()
+        in_fence = False
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if _FENCE_RE.match(line):
+                in_fence = not in_fence
+                continue
+            if in_fence:
+                continue
+            for span in _CODE_SPAN_RE.finditer(line):
+                for m in _PY_PATH_RE.finditer(span.group(2)):
+                    path = m.group(0)
+                    if path.startswith("./"):
+                        path = path[2:]
+                    if path not in suffixes:
+                        problems.append(
+                            f"{relpath}:{lineno}: names `{m.group(0)}`, "
+                            f"which matches no file in the repo")
+    return problems
+
+
 def main(argv: List[str] = ()) -> int:
     problems: List[str] = []
     for relpath in CHECKED_FILES:
@@ -301,6 +357,7 @@ def main(argv: List[str] = ()) -> int:
         problems += check_file_doctests(relpath)
     problems += check_simcheck_rules()
     problems += check_design_sections()
+    problems += check_py_paths()
     for problem in problems:
         print(problem, file=sys.stderr)
     n_files = len(set(CHECKED_FILES) | set(DOCTEST_FILES))

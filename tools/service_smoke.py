@@ -8,8 +8,9 @@ Exercises the service contract end-to-end, the way CI can observe it:
 3. assert — from the daemon's journal — that each job key executed
    exactly once (the dedupe guarantee), while both clients got full
    result sets,
-4. assert the daemon-path results are digest-identical to an embedded
-   (no-daemon) engine run of the same grid,
+4. assert the daemon-path results are digest-identical to embedded
+   (no-daemon) engine runs of the same grid, in-process (``jobs=1``)
+   and on a process pool (``jobs=2``),
 5. shut the daemon down over the wire and check it exits cleanly and
    removes its socket.
 
@@ -121,11 +122,15 @@ def main():
             daemon_digest = result_digest(results["client-a"])
             if daemon_digest != result_digest(results["client-b"]):
                 fail("the two clients disagree on results")
-            embedded = ExperimentEngine(
-                store=ResultStore(os.path.join(tmp, "embedded")),
-                jobs=1).run(grid)
-            if daemon_digest != result_digest(embedded):
-                fail("daemon results differ from embedded engine")
+            # Both embedded placements: jobs=1 runs in-process, jobs=2
+            # runs the two-job grid on a process pool.
+            for jobs in (1, 2):
+                embedded = ExperimentEngine(
+                    store=ResultStore(os.path.join(tmp, f"embedded-{jobs}")),
+                    jobs=jobs).run(grid)
+                if daemon_digest != result_digest(embedded):
+                    fail(f"daemon results differ from the embedded "
+                         f"engine at jobs={jobs}")
 
             # Clean shutdown over the wire.
             ServiceClient(socket_path).shutdown()
@@ -146,7 +151,8 @@ def main():
                     daemon.kill()
 
     print(f"service-smoke: OK — 2 clients x {len(grid)} jobs, "
-          f"each key executed once, digests equal "
+          f"each key executed once, digests equal to embedded "
+          f"jobs=1 and jobs=2 "
           f"({daemon_digest[:16]})")
 
 

@@ -1,8 +1,10 @@
-"""SC007 — async-safety: no blocking work reachable from service
-coroutines, and no synchronous lock held across an ``await``.
+"""SC007 — async-safety: no blocking work reachable from engine or
+service coroutines, and no synchronous lock held across an ``await``.
 
-The service daemon (DESIGN.md §11) runs every client on one asyncio
-event loop; a single blocking call anywhere under an ``async def`` —
+The service daemon (DESIGN.md §10) runs every client on one asyncio
+event loop, and the job scheduler it shares with the embedded engine
+(``src/repro/engine/scheduler.py``) runs there too; a single blocking
+call anywhere under an ``async def`` —
 ``time.sleep``, a synchronous ``open``/``os.write``, ``subprocess``, an
 un-awaited ``Future.result()`` — stalls *all* connections, and the bug
 class is invisible to unit tests because a stalled loop still produces
@@ -10,7 +12,8 @@ correct answers, just late.  This rule walks the whole-program call
 graph (:mod:`simcheck.graph` / :mod:`simcheck.effects`) so the blocking
 call is found even when it hides two hops away in a shared helper:
 
-* every ``async def`` in ``src/repro/service/`` is checked for *direct*
+* every ``async def`` in ``src/repro/service/`` and
+  ``src/repro/engine/`` is checked for *direct*
   blocking effects in its own body;
 * every call it makes to a synchronous project function is checked for a
   blocking effect reachable through synchronous callees only — the
@@ -35,10 +38,11 @@ from simcheck.effects import Effect
 from simcheck.rules import in_scope, register
 
 
-def _service_scope(src) -> bool:
-    """Real files: only the service package runs on the event loop."""
+def _loop_scope(src) -> bool:
+    """Real files: the packages whose coroutines run on an event loop
+    (the daemon, and the scheduler the engine and daemon share)."""
     posix = src.display_path.replace("\\", "/")
-    return "repro/service" in posix
+    return "repro/service" in posix or "repro/engine" in posix
 
 
 def _is_lock_typed(expr: ast.AST, func, graph, env) -> bool:
@@ -56,13 +60,14 @@ def _is_lock_typed(expr: ast.AST, func, graph, env) -> bool:
 class AsyncSafetyRule:
     id = "SC007"
     title = ("async-safety: no blocking call transitively reachable "
-             "from service coroutines; no sync lock held across await")
+             "from engine/service coroutines; no sync lock held across "
+             "await")
     severity = "error"
 
     def check(self, src, project):
         if not in_scope(src, self.id):
             return
-        if not src.is_fixture and not _service_scope(src):
+        if not src.is_fixture and not _loop_scope(src):
             return
         graph = project.graph
         effects = project.effects
