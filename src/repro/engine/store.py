@@ -252,7 +252,9 @@ class ResultStore:
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(blob, fh, sort_keys=True)
+                # One dumps call: json.dump always runs the pure-Python
+                # encoder, and the bytes are the same.
+                fh.write(json.dumps(blob, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -509,6 +509,7 @@ class SampleIntervalJob:
 
     def __post_init__(self):
         self.config_overrides = dict(self.config_overrides)
+        self._snapshot_digest: Optional[str] = None
 
     def config(self) -> CoreConfig:
         """The fully resolved core configuration (same presets as
@@ -518,9 +519,16 @@ class SampleIntervalJob:
         return CoreConfig.scaled(**self.config_overrides)
 
     def spec(self) -> dict:
-        """Hash basis: parameters plus the snapshot's content digest."""
-        snapshot_blob = json.dumps(self.snapshot, sort_keys=True,
-                                   separators=(",", ":"))
+        """Hash basis: parameters plus the snapshot's content digest.
+
+        The digest is computed on first use only: the snapshot is
+        hundreds of KB and ``key`` is read often.
+        """
+        if self._snapshot_digest is None:
+            snapshot_blob = json.dumps(self.snapshot, sort_keys=True,
+                                       separators=(",", ":"))
+            self._snapshot_digest = hashlib.sha256(
+                snapshot_blob.encode()).hexdigest()
         return {
             "workload": self.workload,
             "technique": self.technique,
@@ -530,8 +538,7 @@ class SampleIntervalJob:
             "config": dataclasses.asdict(self.config()),
             "index": self.index,
             "length": self.length,
-            "snapshot_digest": hashlib.sha256(
-                snapshot_blob.encode()).hexdigest(),
+            "snapshot_digest": self._snapshot_digest,
         }
 
     @property

@@ -9,8 +9,6 @@ converging pattern the paper describes for GAP.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.workloads import graphs
 from repro.workloads.base import Workload, build_program
@@ -53,6 +51,9 @@ void main() {{
 
 def reference(graph: graphs.CSRGraph) -> int:
     """Sum over vertices of the minimum vertex id in their component."""
+    # Deferred: scipy costs every CLI start ~0.3 s; only this check uses it.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
     n = graph.num_nodes
     matrix = csr_matrix(
         (np.ones(graph.num_edges, dtype=np.int8),

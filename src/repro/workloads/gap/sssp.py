@@ -10,8 +10,6 @@ windows.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from repro.workloads import graphs
 from repro.workloads.base import Workload, build_program
@@ -71,6 +69,9 @@ def reference(graph: graphs.CSRGraph, source: int, max_rounds: int) -> int:
     shortest paths well within ``max_rounds`` for these diameters, so
     Dijkstra is a valid reference; a Python sweep replica guards the
     truncated case."""
+    # Deferred: scipy costs every CLI start ~0.3 s; only this check uses it.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
     n = graph.num_nodes
     matrix = csr_matrix((graph.weights.astype(float), graph.col,
                          graph.row_ptr), shape=(n, n))

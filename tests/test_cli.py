@@ -1,4 +1,9 @@
-"""Tests for the command-line interface (driven in-process)."""
+"""Tests for the command-line interface (driven in-process, plus one
+fresh-interpreter start-up check)."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -216,3 +221,17 @@ class TestFuzzCommand:
         assert args.budget == 100
         assert args.frontend == "both"
         assert args.corpus == ".fuzz-corpus"
+
+
+class TestStartup:
+    def test_import_leaves_scipy_unloaded(self):
+        """Only the gap.cc/gap.sssp reference checks use scipy, so CLI
+        start-up must not pay for importing it."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.strip() == "False"

@@ -208,6 +208,28 @@ class TestSampleIntervalJob:
         assert other.key != job.key
         assert self._job(technique="nowp").key != job.key
 
+    def test_key_is_pinned_and_snapshot_hashed_once(self, monkeypatch):
+        """The key of a fixed job never changes, and repeated ``key``
+        reads serialize the (large) snapshot only once."""
+        import json
+        from repro.simulator.sampling import SampleIntervalJob
+        monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "pinned-fingerprint")
+        job = SampleIntervalJob(workload="gap.bfs", technique="conv",
+                                scale="tiny", index=3, length=2000,
+                                snapshot={"position": 7, "regs": [0, 1, 2]})
+        dumped = []
+        real_dumps = json.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            dumped.append(obj is job.snapshot)
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        for _ in range(3):
+            assert job.key == ("ac7401a28d5ba6350cab205d6687987948362ee4"
+                               "05dfed8bdfbea5ef77d0aad9")
+        assert dumped.count(True) == 1
+
     def test_run_and_result_round_trip(self):
         from repro.simulator.sampling import SampleIntervalJob
         job = self._job()

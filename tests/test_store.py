@@ -144,6 +144,16 @@ class TestStoreIndex:
         assert len(lines) == 4 * 100 * 2
 
 
+class TestBlobBytes:
+    def test_blob_bytes_are_sorted_json_dumps(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        blob = {"key": K1, "job": {"b": [1, 2.5, None], "a": "x\u00e9"},
+                "result": {"ipc": 1.25, "nested": {"z": 0, "y": True}}}
+        path = store._write_blob(K1, blob)
+        with open(path) as fh:
+            assert fh.read() == json.dumps(blob, sort_keys=True)
+
+
 class TestShardedLayout:
     def test_blob_lands_in_shard_dir(self, tmp_path):
         store = ResultStore(str(tmp_path))

@@ -17,10 +17,12 @@ variants of the same run against each other:
   reference implementation (latencies, counters, warm state);
 * CodeCache invalidation of the compiled pc-maps on insert and
   snapshot restore;
-* the process-wide artifact pools and the per-program shared
-  superblock cache reusing compiled blocks across fresh instances.
+* the process-wide artifact pools, the per-program shared superblock
+  cache and the process-wide code-object cache reusing compiled blocks
+  across fresh instances and fresh programs.
 """
 
+import builtins
 import contextlib
 
 import pytest
@@ -392,3 +394,51 @@ class TestArtifactReuse:
         assert len(streamblock._POOL) == stream_pool
         assert sim.core.timingblock_instructions > 0
         assert sim.core.streamblock_instructions > 0
+
+    def test_code_objects_reused_across_programs(self, monkeypatch):
+        """Two builds of one workload are two Program objects, so two
+        superblock caches; the second run still compiles nothing, runs
+        compiled blocks in every layer, and matches the first."""
+        def run():
+            workload = build_workload("gap.bfs", scale="tiny", check=False)
+            sim = Simulator(workload.program,
+                            config=CoreConfig.scaled(),
+                            technique="conv", max_instructions=4000,
+                            name="gap.bfs")
+            payload = sim.run().to_dict()
+            del payload["wall_seconds"]
+            return sim, payload
+
+        _, first = run()
+        labels = []
+        real_compile = builtins.compile
+
+        def counting_compile(source, filename, *args, **kwargs):
+            labels.append(filename)
+            return real_compile(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", counting_compile)
+        sim, second = run()
+        assert labels == []
+        assert sim.frontend.superblock_instructions > 0
+        assert sim.core.timingblock_instructions > 0
+        assert sim.core.streamblock_instructions > 0
+        assert second == first
+
+    def test_code_cache_keys_on_label(self):
+        """One source under two labels keeps both code filenames, which
+        tracebacks and per-layer attribution read."""
+        instrs = _program(["addi t0, t0, 1"]).instructions
+        source = superblock.render_items(instrs)
+        extra = {"_WP": object, "_new": object.__new__}
+        one = superblock._compile_block(source, instrs, "<wpitems:one>",
+                                        extra)
+        two = superblock._compile_block(source, instrs, "<wpitems:two>",
+                                        extra)
+        again = superblock._compile_block(source, instrs, "<wpitems:one>",
+                                          extra)
+        assert one.__code__.co_filename == "<wpitems:one>"
+        assert two.__code__.co_filename == "<wpitems:two>"
+        # A hit shares the code object but never the function.
+        assert again.__code__ is one.__code__
+        assert again is not one
