@@ -324,9 +324,9 @@ def cmd_sweep(args) -> int:
 def cmd_sample(args) -> int:
     import hashlib
 
-    from repro.engine import (parse_overrides, resolve_techniques,
+    from repro.engine import (SimJob, parse_overrides, resolve_techniques,
                               resolve_workloads)
-    from repro.simulator.sampling import sample_workload
+    from repro.simulator.sampling import sample_techniques
 
     workloads = resolve_workloads(args.workloads.split(","))
     techniques = resolve_techniques(args.techniques.split(","))
@@ -342,31 +342,29 @@ def cmd_sample(args) -> int:
     for workload in workloads:
         for overrides in points:
             over = _overrides_label(overrides)
+            # The full-simulation reference rides in the same batch as
+            # the intervals of every technique.
+            reference = [SimJob(
+                workload=workload, technique=args.validate,
+                scale=args.scale, seed=args.seed,
+                max_instructions=args.max_instructions,
+                base_config=base_config,
+                config_overrides=overrides)] if args.validate else []
+            results, extra = sample_techniques(
+                workload, techniques, scale=args.scale, seed=args.seed,
+                base_config=base_config, config_overrides=overrides,
+                detail_length=args.detail_length,
+                fastforward_length=args.ff_length,
+                max_instructions=args.max_instructions,
+                engine=engine, fresh=args.refresh, extra_jobs=reference)
             full_ipc = None
-            if args.validate:
-                from repro.engine import SimJob
-                ref = engine.run([SimJob(
-                    workload=workload, technique=args.validate,
-                    scale=args.scale, seed=args.seed,
-                    max_instructions=args.max_instructions,
-                    base_config=base_config,
-                    config_overrides=overrides)])[0]
-                if ref.result is not None:
-                    full_ipc = ref.result.ipc
-            for technique in techniques:
-                try:
-                    result = sample_workload(
-                        workload, technique=technique, scale=args.scale,
-                        seed=args.seed, base_config=base_config,
-                        config_overrides=overrides,
-                        detail_length=args.detail_length,
-                        fastforward_length=args.ff_length,
-                        max_instructions=args.max_instructions,
-                        engine=engine, fresh=args.refresh)
-                except RuntimeError as exc:
+            if extra and extra[0].result is not None:
+                full_ipc = extra[0].result.ipc
+            for technique, result in zip(techniques, results):
+                if isinstance(result, RuntimeError):
                     failed += 1
                     rows.append((workload, technique, over, "-", "-",
-                                 "-", "-", f"FAILED: {exc}"))
+                                 "-", "-", f"FAILED: {result}"))
                     continue
                 digests.append(result.digest())
                 error = "-"
@@ -711,6 +709,7 @@ def cmd_predict(args) -> int:
         if not errors:
             print("error: no validation job produced a result",
                   file=sys.stderr)
+            _warn_abandoned(engine)
             return 1
         mean_err = sum(errors) / len(errors)
         print(f"validation: {len(errors)} ground-truth sims, "
@@ -719,6 +718,7 @@ def cmd_predict(args) -> int:
         if mean_err > args.max_error:
             print(f"error: mean |IPC error| {mean_err:.4f} exceeds "
                   f"the bound {args.max_error:.4f}", file=sys.stderr)
+            _warn_abandoned(engine)
             return 1
     if _warn_abandoned(engine):
         return 1

@@ -137,12 +137,12 @@ class ExperimentEngine:
         self.max_workers = max(1, jobs if jobs else (os.cpu_count() or 1))
         self.timeout = timeout
         self.retries = max(0, retries)
-        #: Abandoned-attempt events from the most recent :meth:`run` —
-        #: expired attempts whose worker could not be cancelled (the
-        #: journal records them as ``status="abandoned"``).  A job can
-        #: be abandoned and still succeed on retry, so callers that must
-        #: surface stuck workers (``cmd_sweep``/``cmd_compare``) check
-        #: this list rather than the outcomes.
+        #: Abandoned-attempt events from every :meth:`run` of this
+        #: engine — expired attempts whose worker could not be cancelled
+        #: (the journal records them as ``status="abandoned"``).  A job
+        #: can be abandoned and still succeed on retry, and one command
+        #: may run many batches, so the CLI checks this list once, after
+        #: its last batch, rather than the outcomes.
         self.abandoned: List[dict] = []
 
     def run(self, jobs: Sequence[Any],
@@ -154,7 +154,6 @@ class ExperimentEngine:
         cache rather than forking from it.
         """
         jobs = list(jobs)
-        self.abandoned = []
         if not jobs:
             return []
         caller = _CallingThread()
@@ -172,8 +171,8 @@ class ExperimentEngine:
             loop_thread.join()
             raise
         outcomes = batch.result()
-        self.abandoned = [event for outcome in outcomes
-                          for event in outcome.abandoned]
+        self.abandoned.extend(event for outcome in outcomes
+                              for event in outcome.abandoned)
         return outcomes
 
     def _drive(self, jobs: List[Any], fresh: bool,

@@ -13,6 +13,7 @@ ship jobs to worker processes as plain dicts.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import importlib
 import json
@@ -135,6 +136,32 @@ def code_fingerprint() -> str:
     return _CODE_FINGERPRINT
 
 
+#: Distinct workload builds one process keeps (:func:`built_workload`).
+#: A sweep or sample batch meets a handful of workloads; the bound keeps
+#: a long-lived daemon worker from growing with every workload it serves.
+BUILD_MEMO_SIZE = 4
+
+
+@functools.lru_cache(maxsize=BUILD_MEMO_SIZE)
+def built_workload(name: str, scale: str, seed: Optional[int] = None):
+    """The ``check=False`` build of a registry workload, shared by every
+    job this process runs (and by sample planning, so pool workers
+    forked after a functional pass inherit its program and compiled
+    superblocks).
+
+    A run never changes what a :class:`~repro.isa.program.Program`
+    simulates (it only caches decode handlers and compiled blocks on
+    it), so reusing one is bit-identical to building afresh.  Only
+    unchecked builds are memoized: ``build_workload`` itself stays
+    uncached, and a checked build always runs its reference.
+    """
+    from repro.workloads import build_workload
+    kwargs = {"scale": scale, "check": False}
+    if seed is not None:
+        kwargs["seed"] = seed
+    return build_workload(name, **kwargs)
+
+
 @dataclasses.dataclass
 class SimJob:
     """One (workload × technique × config) simulation, as plain data."""
@@ -232,13 +259,9 @@ class SimJob:
         :attr:`trace_dir` set, the run writes an episode trace labeled
         after the job (``gap.bfs/conv`` -> ``gap.bfs-conv``)."""
         from repro.simulator.simulation import Simulator
-        from repro.workloads import build_workload
         config = self.config()
         config.validate()
-        kwargs = {"scale": self.scale, "check": False}
-        if self.seed is not None:
-            kwargs["seed"] = self.seed
-        workload = build_workload(self.workload, **kwargs)
+        workload = built_workload(self.workload, self.scale, self.seed)
         obs = None
         if self.trace_dir is not None:
             from repro.obs import Observability

@@ -168,7 +168,6 @@ class ServiceClient:
         cases are one-shot by design, matching the embedded runner's
         storeless engine)."""
         jobs = list(jobs)
-        self.abandoned = []
         if not jobs:
             return []
         use_store = all(getattr(job, "kind", None) in ("sim", "sample")
@@ -191,7 +190,7 @@ class ServiceClient:
                     event.get("wall_seconds", 0.0),
                     event.get("attempts", 0), event.get("error"))
             elif kind == "done":
-                self.abandoned = list(event.get("abandoned", ()))
+                self.abandoned.extend(event.get("abandoned", ()))
                 break
         missing = [jobs[i].label for i, o in enumerate(outcomes)
                    if o is None]

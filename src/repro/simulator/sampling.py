@@ -25,24 +25,26 @@ consumes was produced with emulation on.  Streaming mode is the test
 oracle for checkpointed mode: an unbroken stream is what a restored
 interval must reproduce bit for bit.
 
-**Checkpointed** (:func:`sample_workload`): a fast functional pass — no
-timing model at all — warms private cache/TLB/predictor/code-cache
-images uniformly over the whole stream and freezes a
-:class:`~repro.simulator.snapshot.SimSnapshot` at each detailed-interval
-boundary.  Each interval then becomes an independent
-:class:`SampleIntervalJob` (``kind="sample"`` in the engine's
-``JOB_KINDS`` registry): restore the snapshot into fresh components, run
-``length`` instructions of full detail, return a
+**Checkpointed** (:func:`sample_techniques`, and :func:`sample_workload`
+for one technique): a fast functional pass — no timing model at all —
+warms private cache/TLB/predictor/code-cache images uniformly over the
+whole stream and freezes a :class:`~repro.simulator.snapshot.SimSnapshot`
+at each detailed-interval boundary.  Each interval then becomes an
+independent :class:`SampleIntervalJob` (``kind="sample"`` in the
+engine's ``JOB_KINDS`` registry): restore the snapshot into fresh
+components, run ``length`` instructions of full detail, return a
 :class:`SampleIntervalResult`.  Because intervals share no mutable
 state, they fan out across the experiment engine's process pool or the
 sweep daemon and land in the content-addressed result cache — and the
 aggregate :meth:`SampledResult.digest` is identical for any ``--jobs``
 count or dispatch path.  The warm images are technique-independent
-(warming is technique-blind), so one functional pass serves all four
-techniques.  The cost relative to streaming mode: wrong-path cache
-pollution from one detailed interval no longer carries into the next
-interval's warm state — the standard checkpointed-sampling
-approximation.
+(warming is technique-blind), so one build, one functional pass and one
+engine batch serve every requested technique: ``repro sample`` plans
+each (workload, config point) once, and each snapshot is serialized and
+hashed once for all its techniques' jobs.  The cost relative to
+streaming mode: wrong-path cache pollution from one detailed interval
+no longer carries into the next interval's warm state — the standard
+checkpointed-sampling approximation.
 
 The reported IPC extrapolates from the detailed intervals.  Wrong-path
 reconstruction works unchanged inside detailed intervals: the code cache
@@ -56,7 +58,7 @@ import dataclasses
 import hashlib
 import json
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.branch.predictors import BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
@@ -468,6 +470,13 @@ def _run_interval(program: Program, cfg: CoreConfig, technique: str,
                                 snapshot.position, length, stats, wall)
 
 
+def _snapshot_digest(snapshot: Dict) -> str:
+    """SHA-256 of a serialized snapshot's canonical JSON (the part of a
+    :class:`SampleIntervalJob` key that stands for its snapshot)."""
+    blob = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 #: :class:`SampleIntervalJob` cache-key partition (simcheck SC004 +
 #: engine discipline): every field determines the simulated outcome, so
 #: everything is keyed — the snapshot via its content digest.
@@ -525,10 +534,7 @@ class SampleIntervalJob:
         hundreds of KB and ``key`` is read often.
         """
         if self._snapshot_digest is None:
-            snapshot_blob = json.dumps(self.snapshot, sort_keys=True,
-                                       separators=(",", ":"))
-            self._snapshot_digest = hashlib.sha256(
-                snapshot_blob.encode()).hexdigest()
+            self._snapshot_digest = _snapshot_digest(self.snapshot)
         return {
             "workload": self.workload,
             "technique": self.technique,
@@ -575,13 +581,10 @@ class SampleIntervalJob:
         return SampleIntervalResult.from_dict(payload)
 
     def run(self) -> SampleIntervalResult:
-        from repro.workloads import build_workload
+        from repro.engine.job import built_workload
         cfg = self.config()
         cfg.validate()
-        kwargs = {"scale": self.scale, "check": False}
-        if self.seed is not None:
-            kwargs["seed"] = self.seed
-        workload = build_workload(self.workload, **kwargs)
+        workload = built_workload(self.workload, self.scale, self.seed)
         snap = SimSnapshot.from_dict(self.snapshot)
         return _run_interval(workload.program, cfg, self.technique, snap,
                              self.length, workload=workload.name)
@@ -611,7 +614,7 @@ _assert_sample_key_partition()
 
 def _aggregate(name: str, technique: str,
                results: List[SampleIntervalResult],
-               warmed_only: int, wall: float) -> SampledResult:
+               total_instructions: int, wall: float) -> SampledResult:
     detailed = sum(r.stats.instructions for r in results)
     detailed_cycles = sum(r.stats.cycles for r in results)
     intervals = sum(1 for r in results if r.stats.instructions)
@@ -620,7 +623,8 @@ def _aggregate(name: str, technique: str,
         for field, value in r.stats.counters().items():
             totals[field] = totals.get(field, 0) + value
     return SampledResult(
-        name, technique, detailed, detailed_cycles, warmed_only,
+        name, technique, detailed, detailed_cycles,
+        total_instructions - detailed,
         intervals, wall, CoreStats.from_counters(totals),
         mode="checkpoint",
         interval_results=[r.to_dict() for r in results])
@@ -648,9 +652,103 @@ def simulate_sampled_checkpointed(
                              workload=name)
                for snap, length in plan.intervals]
     wall = time.perf_counter() - start
-    detailed = sum(r.stats.instructions for r in results)
-    return _aggregate(name, technique, results,
-                      plan.total_instructions - detailed, wall)
+    return _aggregate(name, technique, results, plan.total_instructions,
+                      wall)
+
+
+def sample_techniques(workload: str, techniques: Sequence[str],
+                      scale: str = "small", seed: Optional[int] = None,
+                      base_config: str = "scaled",
+                      config_overrides: Optional[Dict] = None,
+                      detail_length: int = 10_000,
+                      fastforward_length: int = 40_000,
+                      max_instructions: Optional[int] = None,
+                      engine=None, fresh: bool = False,
+                      extra_jobs: Sequence = ()
+                      ) -> Tuple[List[Union[SampledResult, RuntimeError]],
+                                 list]:
+    """Checkpointed sampling of a registry workload under several
+    techniques from one plan.
+
+    The workload is built once (through the per-process
+    :func:`~repro.engine.job.built_workload` memo) and one technique-
+    blind :func:`functional_pass` serves every technique.  With
+    ``engine`` (an :class:`~repro.engine.executor.ExperimentEngine` or
+    an engine-shaped service client), the intervals of *all*
+    techniques, plus ``extra_jobs``, go to the engine as one batch:
+    one pool, and compiles shared across techniques.  Each snapshot is
+    serialized and hashed once, and every technique's job shares the
+    result.  Without an engine the intervals run in-process.
+
+    Returns ``(results, extra)``.  ``results[i]`` is the
+    :class:`SampledResult` of ``techniques[i]``, digest-identical to a
+    one-technique run, or the ``RuntimeError`` naming its failed
+    interval jobs; a failure never costs the other techniques their
+    results.  Every result's ``wall_seconds`` is the whole call's (the
+    techniques share its plan and batch).  ``extra`` holds the outcomes
+    of ``extra_jobs``.
+    """
+    for technique in techniques:
+        if technique not in TECHNIQUES:
+            raise ValueError(f"unknown technique {technique!r}")
+    if extra_jobs and engine is None:
+        raise ValueError("extra_jobs need an engine to run on")
+    from repro.engine.job import built_workload
+    overrides = dict(config_overrides or {})
+    cfg = SampleIntervalJob(workload=workload, scale=scale, seed=seed,
+                            base_config=base_config,
+                            config_overrides=overrides).config()
+    cfg.validate()
+    start = time.perf_counter()
+    built = built_workload(workload, scale, seed)
+    plan = functional_pass(built.program, cfg,
+                           detail_length=detail_length,
+                           fastforward_length=fastforward_length,
+                           max_instructions=max_instructions)
+    per_technique: List[Union[list, RuntimeError]] = []
+    extra: list = []
+    if engine is None:
+        for technique in techniques:
+            per_technique.append(
+                [_run_interval(built.program, cfg, technique, snap,
+                               length, workload=built.name)
+                 for snap, length in plan.intervals])
+    else:
+        shared = []
+        for snap, length in plan.intervals:
+            payload = snap.to_dict()
+            shared.append((snap.index, length, payload,
+                           _snapshot_digest(payload)))
+        jobs = []
+        for technique in techniques:
+            for index, length, payload, digest in shared:
+                job = SampleIntervalJob(
+                    workload=workload, technique=technique, scale=scale,
+                    seed=seed, base_config=base_config,
+                    config_overrides=overrides, index=index,
+                    length=length, snapshot=payload)
+                # Hashed once per snapshot, not once per technique.
+                job._snapshot_digest = digest
+                jobs.append(job)
+        outcomes = engine.run(jobs + list(extra_jobs), fresh=fresh)
+        extra = outcomes[len(jobs):]
+        count = len(shared)
+        for t in range(len(techniques)):
+            mine = outcomes[t * count:(t + 1) * count]
+            failed = [o for o in mine if o.result is None]
+            if failed:
+                details = "; ".join(
+                    f"{o.job.label}: {o.error}" for o in failed[:3])
+                per_technique.append(RuntimeError(
+                    f"{len(failed)} interval job(s) failed ({details})"))
+            else:
+                per_technique.append([o.result for o in mine])
+    wall = time.perf_counter() - start
+    results = [intervals if isinstance(intervals, RuntimeError)
+               else _aggregate(built.name, technique, intervals,
+                               plan.total_instructions, wall)
+               for technique, intervals in zip(techniques, per_technique)]
+    return results, extra
 
 
 def sample_workload(workload: str, technique: str = "nowp",
@@ -661,53 +759,21 @@ def sample_workload(workload: str, technique: str = "nowp",
                     fastforward_length: int = 40_000,
                     max_instructions: Optional[int] = None,
                     engine=None, fresh: bool = False) -> SampledResult:
-    """Checkpointed sampling of a registry workload.
+    """Checkpointed sampling of a registry workload under one technique:
+    :func:`sample_techniques` with a one-technique list, raising
+    ``RuntimeError`` when an interval job fails.
 
-    With ``engine`` (an :class:`~repro.engine.executor.ExperimentEngine`
-    or an engine-shaped service client), the detailed intervals dispatch
-    as ``kind="sample"`` jobs — parallel across the pool or the daemon,
-    cached content-addressed.  Without one they run in-process.  Either
-    path produces a digest-identical :class:`SampledResult`.
+    With ``engine`` the detailed intervals dispatch as ``kind="sample"``
+    jobs — parallel across the pool or the daemon, cached
+    content-addressed.  Without one they run in-process.  Either path
+    produces a digest-identical :class:`SampledResult`.
     """
-    if technique not in TECHNIQUES:
-        raise ValueError(f"unknown technique {technique!r}")
-    from repro.workloads import build_workload
-    overrides = dict(config_overrides or {})
-    probe = SampleIntervalJob(workload=workload, technique=technique,
-                              scale=scale, seed=seed,
-                              base_config=base_config,
-                              config_overrides=overrides)
-    cfg = probe.config()
-    cfg.validate()
-    start = time.perf_counter()
-    kwargs = {"scale": scale, "check": False}
-    if seed is not None:
-        kwargs["seed"] = seed
-    built = build_workload(workload, **kwargs)
-    plan = functional_pass(built.program, cfg,
-                           detail_length=detail_length,
-                           fastforward_length=fastforward_length,
-                           max_instructions=max_instructions)
-    if engine is None:
-        results = [_run_interval(built.program, cfg, technique, snap,
-                                 length, workload=built.name)
-                   for snap, length in plan.intervals]
-    else:
-        jobs = [SampleIntervalJob(
-            workload=workload, technique=technique, scale=scale,
-            seed=seed, base_config=base_config,
-            config_overrides=overrides, index=snap.index, length=length,
-            snapshot=snap.to_dict())
-            for snap, length in plan.intervals]
-        outcomes = engine.run(jobs, fresh=fresh)
-        failed = [o for o in outcomes if o.result is None]
-        if failed:
-            details = "; ".join(
-                f"{o.job.label}: {o.error}" for o in failed[:3])
-            raise RuntimeError(
-                f"{len(failed)} interval job(s) failed ({details})")
-        results = [o.result for o in outcomes]
-    wall = time.perf_counter() - start
-    detailed = sum(r.stats.instructions for r in results)
-    return _aggregate(built.name, technique, results,
-                      plan.total_instructions - detailed, wall)
+    (result,), _ = sample_techniques(
+        workload, [technique], scale=scale, seed=seed,
+        base_config=base_config, config_overrides=config_overrides,
+        detail_length=detail_length,
+        fastforward_length=fastforward_length,
+        max_instructions=max_instructions, engine=engine, fresh=fresh)
+    if isinstance(result, RuntimeError):
+        raise result
+    return result

@@ -9,7 +9,7 @@ All generation is seeded and deterministic.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,18 +53,33 @@ class CSRGraph:
         return f"CSRGraph(n={self.num_nodes}, m={self.num_edges})"
 
 
-def _build_csr(n: int, edges_by_src: List[np.ndarray]) -> CSRGraph:
-    """Assemble CSR from per-source target arrays, sorting and dropping
-    duplicates and self-loops."""
-    cols = []
+def _build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> CSRGraph:
+    """Assemble CSR from parallel edge arrays: each vertex's targets
+    sorted, with duplicates and self-loops dropped.  One lexsort over
+    all edges (not a per-vertex ``np.unique``): the graph build is the
+    bulk of a workload build."""
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    src, dst = src[first], dst[first]
     row_ptr = np.zeros(n + 1, dtype=np.int64)
-    for u in range(n):
-        targets = np.unique(edges_by_src[u])
-        targets = targets[targets != u]
-        cols.append(targets)
-        row_ptr[u + 1] = row_ptr[u] + len(targets)
-    col = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    return CSRGraph(row_ptr, col)
+    np.cumsum(np.bincount(src, minlength=n), out=row_ptr[1:])
+    return CSRGraph(row_ptr, dst)
+
+
+def _from_targets(n: int, targets: np.ndarray,
+                  symmetric: bool) -> CSRGraph:
+    """CSR from an ``(n, degree)`` matrix of per-vertex targets; with
+    ``symmetric`` every edge also gets its reverse (needed by tc and
+    cc)."""
+    src = np.repeat(np.arange(n, dtype=np.int64), targets.shape[1])
+    dst = targets.reshape(-1)
+    if symmetric:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    return _build_csr(n, src, dst)
 
 
 def uniform_random(n: int, degree: int, seed: int = 1,
@@ -74,10 +89,7 @@ def uniform_random(n: int, degree: int, seed: int = 1,
         raise ValueError("need n >= 2 and degree >= 1")
     rng = np.random.default_rng(seed)
     targets = rng.integers(0, n, size=(n, degree), dtype=np.int64)
-    edges = [targets[u] for u in range(n)]
-    if symmetric:
-        return _symmetrize(n, edges)
-    return _build_csr(n, edges)
+    return _from_targets(n, targets, symmetric)
 
 
 def power_law(n: int, degree: int, seed: int = 1, skew: float = 1.3,
@@ -93,25 +105,7 @@ def power_law(n: int, degree: int, seed: int = 1, skew: float = 1.3,
     # Zipf ranks clipped into [0, n); rank 0 is the biggest hub.
     ranks = rng.zipf(skew, size=(n, degree)) - 1
     ranks = np.minimum(ranks, n - 1)
-    targets = perm[ranks]
-    edges = [targets[u] for u in range(n)]
-    if symmetric:
-        return _symmetrize(n, edges)
-    return _build_csr(n, edges)
-
-
-def _symmetrize(n: int, edges: List[np.ndarray]) -> CSRGraph:
-    """Make the edge set undirected (needed by tc and cc)."""
-    fwd_src = np.concatenate(
-        [np.full(len(t), u, dtype=np.int64) for u, t in enumerate(edges)])
-    fwd_dst = np.concatenate(edges)
-    src = np.concatenate([fwd_src, fwd_dst])
-    dst = np.concatenate([fwd_dst, fwd_src])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=n)
-    by_src = np.split(dst, np.cumsum(counts)[:-1])
-    return _build_csr(n, by_src)
+    return _from_targets(n, perm[ranks], symmetric)
 
 
 def with_weights(graph: CSRGraph, seed: int = 7,

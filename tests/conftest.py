@@ -13,6 +13,10 @@ Slow tests
     Deep fuzz runs and other long soaks are marked ``@pytest.mark.slow``
     and skipped unless ``--runslow`` is passed (the nightly workflow
     does).
+
+``abandon_first_batch``
+    Fixture: the embedded engine reports a stuck worker in the first
+    batch of a command only (the CLI must still exit nonzero).
 """
 
 import os
@@ -45,3 +49,26 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+@pytest.fixture
+def abandon_first_batch(monkeypatch):
+    """Make every embedded engine report one abandoned attempt in its
+    first batch only, as a worker stuck early in a command would.
+    Returns a dict holding the abandoned job's ``label`` and the
+    number of ``batches`` run."""
+    from repro.engine.executor import ExperimentEngine
+    real_run = ExperimentEngine._run
+    state = {"batches": 0, "label": None}
+
+    async def run_abandoning_first(self, jobs, fresh, caller):
+        outcomes = await real_run(self, jobs, fresh, caller)
+        state["batches"] += 1
+        if state["batches"] == 1:
+            state["label"] = jobs[0].label
+            outcomes[0].abandoned.append(
+                {"job": jobs[0].label, "key": "-", "attempts": 1})
+        return outcomes
+
+    monkeypatch.setattr(ExperimentEngine, "_run", run_abandoning_first)
+    return state

@@ -144,13 +144,91 @@ class TestSampleCommand:
         warm = capsys.readouterr().out
         assert digest[0].split("combined digest")[1] in warm
 
-    def test_validate_reports_error(self, tmp_path, capsys):
+    SAMPLING = dict(scale="tiny", detail_length=2000,
+                    fastforward_length=6000)
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Count ``functional_pass`` calls and engine batches."""
+        from repro.engine.executor import ExperimentEngine
+        from repro.simulator import sampling
+        counts = {"functional_pass": 0, "batches": 0}
+        real_pass = sampling.functional_pass
+        real_run = ExperimentEngine.run
+
+        def counting_pass(*args, **kwargs):
+            counts["functional_pass"] += 1
+            return real_pass(*args, **kwargs)
+
+        def counting_run(self, jobs, **kwargs):
+            counts["batches"] += 1
+            return real_run(self, jobs, **kwargs)
+
+        monkeypatch.setattr(sampling, "functional_pass", counting_pass)
+        monkeypatch.setattr(ExperimentEngine, "run", counting_run)
+        return counts
+
+    @staticmethod
+    def _rows(out):
+        return {line.split()[1]: line for line in out.splitlines()
+                if line.startswith("gap.bfs ")}
+
+    def test_one_plan_and_one_batch_serve_every_technique(
+            self, tmp_path, capsys, monkeypatch):
+        import hashlib
+
+        from repro.simulator.sampling import sample_workload
+        counts = self._count_calls(monkeypatch)
+        assert main(self.ARGS + ["--cache-dir", str(tmp_path),
+                                 "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert counts == {"functional_pass": 1, "batches": 1}
+        digests = [sample_workload("gap.bfs", technique=t,
+                                   **self.SAMPLING).digest()
+                   for t in ("nowp", "conv")]
+        combined = hashlib.sha256("\n".join(digests).encode()).hexdigest()
+        assert f"combined digest {combined[:16]}" in out
+
+    def test_failed_interval_fails_only_its_technique(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.simulator.sampling import SampleIntervalJob
+        real_run = SampleIntervalJob.run
+
+        def conv_breaks(self):
+            if self.technique == "conv":
+                raise RuntimeError("injected interval fault")
+            return real_run(self)
+
+        monkeypatch.setattr(SampleIntervalJob, "run", conv_breaks)
+        rc = main(self.ARGS + ["--cache-dir", str(tmp_path),
+                               "--jobs", "1"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        rows = self._rows(out)
+        assert "FAILED" not in rows["nowp"]
+        assert "FAILED" in rows["conv"]
+        assert "injected interval fault" in rows["conv"]
+        assert "2 sampled runs, 1 failed" in out
+
+    def test_validate_reports_error(self, tmp_path, capsys, monkeypatch):
+        from repro.engine import SimJob
+        from repro.simulator.sampling import sample_workload
+        counts = self._count_calls(monkeypatch)
         rc = main(self.ARGS + ["--cache-dir", str(tmp_path),
                                "--jobs", "1", "--validate", "conv"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "err vs full" in out
         assert "mean |IPC error|" in out
+        # The full-simulation reference joins the intervals' batch, and
+        # the printed error is the one a separate reference run gives.
+        assert counts == {"functional_pass": 1, "batches": 1}
+        full = SimJob(workload="gap.bfs", technique="conv",
+                      scale="tiny").run().ipc
+        sampled = sample_workload("gap.bfs", technique="conv",
+                                  **self.SAMPLING).ipc
+        error = abs(sampled - full) / full
+        assert f" {error * 100:.2f}% " in self._rows(out)["conv"]
 
     def test_parser_defaults(self):
         args = make_parser().parse_args(["sample"])

@@ -245,6 +245,69 @@ class TestJobKinds:
         assert back.key == job.key
 
 
+class TestBuildMemo:
+    """Jobs build each workload once per process (``built_workload``)."""
+
+    @staticmethod
+    def _interval_job():
+        from repro.simulator.sampling import (SampleIntervalJob,
+                                              functional_pass)
+        from repro.workloads import build_workload
+        built = build_workload("gap.bfs", scale="tiny", check=False)
+        snap, length = functional_pass(
+            built.program, CoreConfig.scaled(), detail_length=2000,
+            fastforward_length=6000).intervals[0]
+        return SampleIntervalJob(workload="gap.bfs", technique="nowp",
+                                 scale="tiny", index=snap.index,
+                                 length=length, snapshot=snap.to_dict())
+
+    def test_memoized_build_serves_both_job_kinds_bit_identically(self):
+        from repro.engine.job import built_workload
+        interval = self._interval_job()
+        fresh = []
+        for job in (JOB, interval):
+            built_workload.cache_clear()
+            fresh.append(_stats_without_wall(job.run()))
+        built_workload.cache_clear()
+        shared = [_stats_without_wall(JOB.run())]
+        program = built_workload("gap.bfs", "tiny").program
+        hits = built_workload.cache_info().hits
+        shared.append(_stats_without_wall(interval.run()))
+        assert built_workload.cache_info().hits == hits + 1
+        assert built_workload("gap.bfs", "tiny").program is program
+        assert shared == fresh
+
+    def test_memo_is_bounded(self):
+        from repro.engine.job import BUILD_MEMO_SIZE, built_workload
+        from repro.workloads import workload_names
+        assert built_workload.cache_info().maxsize == BUILD_MEMO_SIZE
+        built_workload.cache_clear()
+        for name in workload_names()[:BUILD_MEMO_SIZE + 2]:
+            built_workload(name, "tiny")
+        assert built_workload.cache_info().currsize == BUILD_MEMO_SIZE
+
+    def test_memo_never_serves_a_checked_build(self, monkeypatch):
+        import repro.workloads
+        from repro.engine.job import built_workload
+        from repro.workloads import build_workload
+        calls = []
+
+        def recording(name, **kwargs):
+            calls.append(kwargs)
+            return build_workload(name, **kwargs)
+
+        built_workload.cache_clear()
+        monkeypatch.setattr(repro.workloads, "build_workload", recording)
+        memo = built_workload("gap.bfs", "tiny", 3)
+        assert calls == [{"scale": "tiny", "check": False, "seed": 3}]
+        checked = build_workload("gap.bfs", scale="tiny", seed=3,
+                                 check=True)
+        assert checked is not memo and checked.program is not memo.program
+        assert build_workload("gap.bfs", scale="tiny", seed=3,
+                              check=False) is not memo
+        built_workload.cache_clear()
+
+
 class TestGrid:
     def test_short_names_resolve(self):
         assert resolve_workload("bfs") == "gap.bfs"

@@ -60,6 +60,23 @@ class TestGenerators:
         for u, v in edges:
             assert (v, u) in edges
 
+    @pytest.mark.parametrize("n, m, seed", [(5, 0, 0), (2, 3, 1),
+                                            (50, 400, 2), (300, 5000, 3)])
+    def test_csr_matches_per_vertex_reference(self, n, m, seed):
+        """The one-lexsort CSR assembly equals the per-vertex
+        sort-unique-drop-self-loop loop it replaced."""
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, n, size=m, dtype=np.int64)
+        dst = rng.integers(0, n, size=m, dtype=np.int64)
+        g = graphs._build_csr(n, src, dst)
+        row_ptr, col = [0], []
+        for u in range(n):
+            targets = np.unique(dst[src == u])
+            col.extend(targets[targets != u].tolist())
+            row_ptr.append(len(col))
+        assert g.row_ptr.tolist() == row_ptr
+        assert g.col.tolist() == col
+
     def test_with_weights(self):
         g = graphs.with_weights(graphs.uniform_random(50, 4, seed=1),
                                 seed=2, max_weight=10)

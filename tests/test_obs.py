@@ -274,8 +274,9 @@ class TestReport:
 
 
 class TestAbandonedExit:
-    """cmd_sweep / cmd_compare exit nonzero when any engine attempt was
-    abandoned, even though the jobs themselves eventually succeeded."""
+    """cmd_sweep / cmd_compare / cmd_sample exit nonzero when any engine
+    attempt was abandoned, even though the jobs themselves eventually
+    succeeded."""
 
     @staticmethod
     def _poison_engine_run(monkeypatch):
@@ -309,3 +310,19 @@ class TestAbandonedExit:
                    "--jobs", "1", "--cache-dir", str(tmp_path)])
         assert rc == 1
         assert "abandoned" in capsys.readouterr().err
+
+    def test_sample_exits_nonzero_on_first_batch_abandon(
+            self, tmp_path, capsys, abandon_first_batch):
+        """Two config points are two batches; the stuck worker in the
+        first must not be forgotten by the second."""
+        from repro.cli import main
+        rc = main(["sample", "--workloads", "bfs", "--techniques", "nowp",
+                   "--scale", "tiny", "--detail-length", "2000",
+                   "--ff-length", "6000", "--set", "rob_size=32",
+                   "--set", "rob_size=64", "--jobs", "1",
+                   "--cache-dir", str(tmp_path)])
+        assert abandon_first_batch["batches"] == 2
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "1 attempt(s) abandoned" in err
+        assert abandon_first_batch["label"] in err

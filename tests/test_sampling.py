@@ -253,3 +253,64 @@ class TestSampleIntervalJob:
         warm = sample_workload("gap.bfs", engine=engine, **kwargs)
         assert parallel.digest() == serial.digest()
         assert warm.digest() == serial.digest()
+
+
+class TestSampleTechniques:
+    KWARGS = dict(scale="tiny", detail_length=2000, fastforward_length=6000)
+
+    def test_matches_per_technique_runs(self):
+        from repro.simulator.sampling import (sample_techniques,
+                                              sample_workload)
+        techniques = ["nowp", "conv", "wpemul"]
+        results, extra = sample_techniques("gap.bfs", techniques,
+                                           **self.KWARGS)
+        assert extra == []
+        assert [r.technique for r in results] == techniques
+        assert [r.digest() for r in results] == [
+            sample_workload("gap.bfs", technique=t, **self.KWARGS).digest()
+            for t in techniques]
+
+    def test_engine_batch_hashes_each_snapshot_once(self, monkeypatch):
+        """One batch carries every technique's intervals; a snapshot is
+        hashed once for all of them, and each job's key is still the
+        key a fresh job computes from its own snapshot."""
+        from repro.engine import ExperimentEngine
+        from repro.simulator import sampling
+        hashed = []
+        real_digest = sampling._snapshot_digest
+
+        def counting_digest(snapshot):
+            hashed.append(snapshot["index"])
+            return real_digest(snapshot)
+
+        class RecordingEngine(ExperimentEngine):
+            batches = []
+
+            def run(self, jobs, fresh=False):
+                self.batches.append(list(jobs))
+                return super().run(jobs, fresh=fresh)
+
+        monkeypatch.setattr(sampling, "_snapshot_digest", counting_digest)
+        engine = RecordingEngine(jobs=1)
+        results, _ = sampling.sample_techniques(
+            "gap.bfs", ["nowp", "conv"], engine=engine, **self.KWARGS)
+        (jobs,) = engine.batches
+        count = len(jobs) // 2
+        assert count >= 2 and hashed == list(range(count))
+        assert [j.technique for j in jobs] == ["nowp"] * count \
+            + ["conv"] * count
+        monkeypatch.setattr(sampling, "_snapshot_digest", real_digest)
+        for job in jobs:
+            fresh = sampling.SampleIntervalJob.from_dict(job.to_dict())
+            assert fresh.key == job.key
+        assert [r.digest() for r in results] == [
+            sampling.sample_workload("gap.bfs", technique=t,
+                                     **self.KWARGS).digest()
+            for t in ("nowp", "conv")]
+
+    def test_extra_jobs_need_an_engine(self):
+        from repro.engine import SimJob
+        from repro.simulator.sampling import sample_techniques
+        with pytest.raises(ValueError, match="engine"):
+            sample_techniques("gap.bfs", ["nowp"], extra_jobs=[
+                SimJob(workload="gap.bfs", scale="tiny")], **self.KWARGS)

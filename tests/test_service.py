@@ -469,6 +469,31 @@ class TestDaemon:
             _stats_without_wall(live_result.to_dict())
         assert second.result.to_dict() == first.result.to_dict()
 
+    def test_client_keeps_abandoned_events_of_every_batch(
+            self, daemon, monkeypatch):
+        """A stuck worker reported with the first batch stays on
+        ``client.abandoned`` after later batches (the CLI checks it once,
+        at the end of a command)."""
+        with ServiceClient(daemon.socket_path) as client:
+            real_request = client._request
+            done = []
+
+            def first_batch_abandons(message):
+                for event in real_request(message):
+                    if event.get("event") == "done":
+                        done.append(event)
+                        if len(done) == 1:
+                            event = dict(event, abandoned=[{
+                                "job": JOB.label, "key": JOB.key,
+                                "attempts": 1}])
+                    yield event
+
+            monkeypatch.setattr(client, "_request", first_batch_abandons)
+            client.run([JOB])
+            client.run([JOB2])
+        assert len(done) == 2
+        assert [a["job"] for a in client.abandoned] == [JOB.label]
+
     def test_two_concurrent_clients_one_execution(self, daemon):
         jobs = [JOB, JOB2]
         results = {}

@@ -503,6 +503,28 @@ class TestPredictJob:
             [p.to_dict() for p in inline]
 
 
+class TestPredictCommand:
+    def test_abandon_in_first_batch_exits_nonzero(
+            self, trained, tmp_path, capsys, abandon_first_batch):
+        """The predict batch reports a stuck worker; the --validate
+        batch after it must not clear it."""
+        from repro.cli import main
+        model, _, _ = trained
+        path = str(tmp_path / "model.json")
+        model.save(path)
+        rc = main(["predict", "--model", path, "--workloads", "gap.bfs",
+                   "--techniques", "conv", "--points", "3",
+                   "--max-instructions", "3000", "--validate", "1",
+                   "--max-error", "100", "--jobs", "1",
+                   "--cache-dir", str(tmp_path / "cache")])
+        assert abandon_first_batch["batches"] == 2
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "validation: 1 ground-truth sims" in out
+        assert "1 attempt(s) abandoned" in err
+        assert abandon_first_batch["label"] in err
+
+
 class TestFeaturePipelineCache:
     def test_program_stats_memoized(self):
         pipeline = FeaturePipeline()

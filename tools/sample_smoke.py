@@ -8,6 +8,9 @@ Exercises the sampled-simulation contract end-to-end:
    warm cache — all three must produce digest-identical
    ``SampledResult``s (interval jobs are deterministic and
    content-addressed, so dispatch topology must not matter),
+   and one multi-technique plan (``sample_techniques``, what
+   ``repro sample`` runs) must equal per-technique ``sample_workload``
+   runs, serially and through the ``--jobs 2`` engine,
 3. start a real ``repro serve`` daemon and run the same sampling through
    it — the daemon path must join the same digest, and a second
    daemon-path run must be served from the daemon's cache,
@@ -28,7 +31,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.engine import ExperimentEngine, ResultStore, SimJob  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
-from repro.simulator.sampling import sample_workload  # noqa: E402
+from repro.simulator.sampling import (sample_techniques,  # noqa: E402
+                                      sample_workload)
 
 WAIT_SECONDS = 30
 
@@ -36,6 +40,8 @@ WAIT_SECONDS = 30
 #: FP kernel.  Tiny scale keeps the smoke under a minute.
 WORKLOADS = ("gap.bfs", "spec.fp.saxpy_like")
 TECHNIQUE = "conv"
+#: Techniques of the multi-technique plan check.
+PLAN_TECHNIQUES = ("nowp", TECHNIQUE)
 DETAIL, FF = 2000, 6000
 
 #: Sampled-vs-full IPC bound.  Tiny-scale runs are a few tens of
@@ -51,10 +57,31 @@ def fail(message):
     sys.exit(1)
 
 
-def sample(workload, engine=None):
-    return sample_workload(workload, technique=TECHNIQUE, scale="tiny",
+def sample(workload, engine=None, technique=TECHNIQUE):
+    return sample_workload(workload, technique=technique, scale="tiny",
                            detail_length=DETAIL, fastforward_length=FF,
                            engine=engine)
+
+
+def check_one_plan(workload):
+    """One plan for every technique equals per-technique runs, serially
+    and through the ``--jobs 2`` engine."""
+    want = [sample(workload, technique=t).digest()
+            for t in PLAN_TECHNIQUES]
+    for label, engine in (("serial", None),
+                          ("--jobs 2", ExperimentEngine(jobs=2))):
+        results, _ = sample_techniques(
+            workload, PLAN_TECHNIQUES, scale="tiny", detail_length=DETAIL,
+            fastforward_length=FF, engine=engine)
+        for technique, result, digest in zip(PLAN_TECHNIQUES, results,
+                                             want):
+            if isinstance(result, Exception):
+                fail(f"{workload}/{technique}: {label} plan failed: "
+                     f"{result}")
+            if result.digest() != digest:
+                fail(f"{workload}/{technique}: {label} multi-technique "
+                     f"plan digest {result.digest()[:16]} != "
+                     f"per-technique {digest[:16]}")
 
 
 def main():
@@ -73,6 +100,7 @@ def main():
             warm = sample(w, engine=engine)
             if warm.digest() != serial[w].digest():
                 fail(f"{w}: warm-cache digest diverged")
+            check_one_plan(w)
 
         # 3. Daemon path.
         socket_path = os.path.join(tmp, "repro.sock")
@@ -137,8 +165,8 @@ def main():
 
     digests = ", ".join(
         f"{w}={serial[w].digest()[:12]}" for w in WORKLOADS)
-    print(f"sample-smoke: OK — serial, --jobs 2, warm cache and daemon "
-          f"paths all digest-identical ({digests})")
+    print(f"sample-smoke: OK — serial, --jobs 2, warm cache, daemon and "
+          f"multi-technique plan paths all digest-identical ({digests})")
 
 
 if __name__ == "__main__":
